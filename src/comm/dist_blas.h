@@ -261,6 +261,10 @@ struct BlockPipelineDots {
   std::vector<complexd> pv;  // [k]          = <v, r>_k
   std::vector<double> v2;    // [k]          = |v|^2_k
   std::vector<double> r2;    // [k]          = |r|^2_k
+  /// Wall time of the combine: the interval CommStats::count_allreduce
+  /// charged, so an overlapped caller meters its hidden share against the
+  /// same interval.
+  double seconds = 0;
 
   long payload_doubles() const { return (4L * nhist + 5L) * nrhs; }
 };
@@ -292,7 +296,8 @@ BlockPipelineDots block_pipeline_dots(
   out.pv = blas::block_cdot(v, r, policy);
   out.v2 = blas::block_norm2(v, policy);
   out.r2 = blas::block_norm2(r, policy);
-  if (stats) stats->count_allreduce(out.payload_doubles(), t.seconds());
+  out.seconds = t.seconds();
+  if (stats) stats->count_allreduce(out.payload_doubles(), out.seconds);
   return out;
 }
 

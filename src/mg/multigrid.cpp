@@ -53,6 +53,16 @@ void Multigrid<T>::rebuild(bool reuse) {
     // configuration's candidates are already near-null up to the gauge
     // drift, so a short relaxation re-adapts them (the amortization the
     // hierarchy lifecycle exists for).
+    //
+    // Coarse levels (l >= 1) relax, refresh and refine all their candidates
+    // as one nvec-wide block through the batched kernels, where the coarse
+    // apply_block at nrhs 12 costs about 0.4x of apply() per rhs.  The fine
+    // level keeps one single-rhs stream per candidate: its Wilson-clover
+    // apply_block costs 1.1-1.2x of apply() per rhs at 1-3 threads
+    // (ARCHITECTURE.md, "Batched coarse-level setup").  Per candidate both
+    // executions are bit-identical at a pinned kernel config
+    // (mg/nullspace.h).
+    const bool batched = l > 0;
     std::vector<Field> null_vecs;
     const bool have_prev =
         reuse && static_cast<int>(candidates_[l].size()) == lvl.nvec &&
@@ -62,16 +72,14 @@ void Multigrid<T>::rebuild(bool reuse) {
       if (have_prev) {
         null_vecs = candidates_[l];
         relax_null_vectors(*ops_[l], null_vecs, config_.refresh_null_iters,
-                           lvl.smoother_omega);
+                           lvl.smoother_omega, batched);
       } else {
         NullSpaceParams ns_params;
         ns_params.nvec = lvl.nvec;
         ns_params.iters = lvl.null_iters;
         ns_params.omega = lvl.smoother_omega;
         ns_params.seed = config_.seed + 10000 * (l + 1);
-        ns_params.method = lvl.null_method;
-        ns_params.inverse_tol = lvl.null_inverse_tol;
-        null_vecs = generate_null_vectors(*ops_[l], ns_params);
+        null_vecs = generate_null_vectors(*ops_[l], ns_params, batched);
       }
       const double dt = phase.seconds();
       setup_timings_.null_gen_seconds += dt;
@@ -116,8 +124,9 @@ void Multigrid<T>::rebuild(bool reuse) {
         reuse ? config_.refresh_adaptive_iters : lvl.adaptive_iters;
     for (int pass = 0; pass < passes; ++pass) {
       Timer phase;
-      refine_null_vectors(static_cast<int>(l), *transfer, *coarse, null_vecs,
-                          lvl, refine_iters);
+      refine_null_vectors(*ops_[l], *transfer, *coarse, null_vecs,
+                          refine_iters, std::max(lvl.post_smooth, 2),
+                          lvl.smoother_omega, batched);
       galerkin();
       const double dt = phase.seconds();
       setup_timings_.adaptive_seconds += dt;
@@ -280,55 +289,6 @@ void Multigrid<T>::install_level_storage(int level,
   // Any distributed split holds copies of the replaced stencil; drop it
   // (re-enable after the restore completes).
   dist_coarse_.clear();
-}
-
-template <typename T>
-void Multigrid<T>::refine_null_vectors(int level, const Transfer<T>& transfer,
-                                       const CoarseDirac<T>& coarse,
-                                       std::vector<Field>& vecs,
-                                       const MgLevelConfig& lvl,
-                                       int iters) const {
-  const LinearOperator<T>& op = *ops_[level];
-  const SchurCoarseOp<T> coarse_schur(coarse);
-
-  SolverParams smooth_params;
-  smooth_params.tol = 0;
-  smooth_params.max_iter = std::max(lvl.post_smooth, 2);
-  smooth_params.omega = lvl.smoother_omega;
-
-  SolverParams coarse_params;
-  coarse_params.tol = 0.1;
-  coarse_params.max_iter = 50;
-  coarse_params.restart = 10;
-
-  auto r = op.create_vector();
-  auto x = op.create_vector();
-  auto r_c = transfer.create_coarse_vector();
-  auto e_c = r_c.similar();
-
-  for (auto& v : vecs) {
-    for (int it = 0; it < iters; ++it) {
-      // v <- (1 - B M) v with B a post-smoothed two-grid cycle: components
-      // the current coarse space captures are annihilated, leaving v rich in
-      // the error modes the method cannot yet treat.
-      op.apply(r, v);
-      blas::scale(T(-1), r);
-      blas::zero(x);
-      transfer.restrict_to_coarse(r_c, r);
-      {
-        auto b_hat = coarse_schur.create_vector();
-        coarse_schur.prepare(b_hat, r_c);
-        auto e_e = coarse_schur.create_vector();
-        GcrSolver<T>(coarse_schur, coarse_params).solve(e_e, b_hat);
-        coarse_schur.reconstruct(e_c, e_e, r_c);
-      }
-      transfer.prolongate(x, e_c);
-      MrSolver<T>(op, smooth_params).solve(x, r);
-      blas::axpy(T(1), x, v);
-      const double n2 = blas::norm2(v);
-      if (n2 > 0) blas::scale(static_cast<T>(1.0 / std::sqrt(n2)), v);
-    }
-  }
 }
 
 template <typename T>

@@ -50,8 +50,6 @@ struct MgLevelConfig {
   Coord block{2, 2, 2, 2};  // aggregate extents (Table 2 "blocking")
   int nvec = 16;            // null vectors / coarse colors (24 or 32 in paper)
   int null_iters = 100;     // relaxation sweeps per null vector
-  NullSpaceMethod null_method = NullSpaceMethod::Relax;
-  double null_inverse_tol = 5e-3;  // for NullSpaceMethod::InverseIterate
   int pre_smooth = 0;       // MR pre-smoothing applications
   int post_smooth = 4;      // MR post-smoothing applications (paper: 4)
   double smoother_omega = 0.85;
@@ -365,15 +363,6 @@ class Multigrid {
   /// transfer/coarse operator/Schur complement is recreated and
   /// setup_timings_ is rewritten with the per-phase breakdown.
   void rebuild(bool reuse);
-
-  /// One adaptive-setup pass at `level`: v <- normalize((1 - B M)^k v) for
-  /// each candidate vector, with B the two-grid cycle over (op, coarse)
-  /// and k = `iters` (the level's adaptive_iters for a full build, the
-  /// shorter refresh_adaptive_iters for a refresh).
-  void refine_null_vectors(int level, const Transfer<T>& transfer,
-                           const CoarseDirac<T>& coarse,
-                           std::vector<Field>& vecs, const MgLevelConfig& lvl,
-                           int iters) const;
 
   // Per-level recursive preconditioner used by the K-cycle's coarse GCR.
   class LevelPreconditioner : public Preconditioner<T> {

@@ -3,7 +3,11 @@
 #include <cmath>
 
 #include "fields/blas.h"
-#include "solvers/bicgstab.h"
+#include "fields/blockspinor.h"
+#include "solvers/block_gcr.h"
+#include "solvers/block_mr.h"
+#include "solvers/gcr.h"
+#include "solvers/mr.h"
 
 namespace qmg {
 
@@ -30,70 +34,210 @@ void mr_relax_homogeneous(const LinearOperator<T>& op, ColorSpinorField<T>& x,
   }
 }
 
+/// Batched form of mr_relax_homogeneous: every rhs of `x` runs exactly its
+/// arithmetic in lockstep.  A rhs whose <Mr,Mr> reaches 0 is masked out of
+/// all further updates at the iteration where the per-vector loop breaks.
+template <typename T>
+void mr_relax_homogeneous(const LinearOperator<T>& op, BlockSpinor<T>& x,
+                          int iters, T omega) {
+  const int n = x.nrhs();
+  BlockSpinor<T> r = x.similar();
+  BlockSpinor<T> mr = x.similar();
+  const std::vector<T> minus_one(static_cast<size_t>(n), T(-1));
+  std::vector<Complex<T>> coef(static_cast<size_t>(n));
+  blas::RhsMask active(static_cast<size_t>(n), 1);
+  for (int it = 0; it < iters; ++it) {
+    op.apply_block(r, x);
+    blas::block_scale(minus_one, r);
+    op.apply_block(mr, r);
+    const std::vector<double> mr2 = blas::block_norm2(mr);
+    const std::vector<complexd> a = blas::block_cdot(mr, r);
+    bool any = false;
+    for (size_t k = 0; k < static_cast<size_t>(n); ++k) {
+      if (!active[k]) continue;
+      if (mr2[k] == 0.0) {
+        active[k] = 0;
+        continue;
+      }
+      const Complex<T> alpha(static_cast<T>(a[k].re / mr2[k]),
+                             static_cast<T>(a[k].im / mr2[k]));
+      coef[k] = alpha * omega;
+      any = true;
+    }
+    if (!any) break;
+    blas::block_caxpy(coef, r, x, &active);
+  }
+}
+
 template <typename T>
 void normalize(ColorSpinorField<T>& x) {
   const double n2 = blas::norm2(x);
   if (n2 > 0) blas::scale(static_cast<T>(1.0 / std::sqrt(n2)), x);
 }
 
+template <typename T>
+void normalize(BlockSpinor<T>& x) {
+  const std::vector<double> n2 = blas::block_norm2(x);
+  std::vector<T> inv(n2.size(), T(1));
+  blas::RhsMask nonzero(n2.size(), 0);
+  for (size_t k = 0; k < n2.size(); ++k) {
+    if (!(n2[k] > 0)) continue;
+    inv[k] = static_cast<T>(1.0 / std::sqrt(n2[k]));
+    nonzero[k] = 1;
+  }
+  blas::block_scale(inv, x, &nonzero);
+}
+
+template <typename T>
+void relax_and_normalize(const LinearOperator<T>& op,
+                         std::vector<ColorSpinorField<T>>& vecs, int iters,
+                         T omega, bool batched) {
+  if (vecs.empty()) return;
+  if (batched) {
+    BlockSpinor<T> x = pack_block(vecs);
+    mr_relax_homogeneous(op, x, iters, omega);
+    normalize(x);
+    unpack_block(vecs, x);
+    return;
+  }
+  auto r = op.create_vector();
+  auto mr = op.create_vector();
+  for (auto& x : vecs) {
+    mr_relax_homogeneous(op, x, r, mr, iters, omega);
+    normalize(x);
+  }
+}
+
+/// Loose inner solve of the refinement's two-grid cycle.
+SolverParams refine_coarse_params() {
+  SolverParams p;
+  p.tol = 0.1;
+  p.max_iter = 50;
+  p.restart = 10;
+  return p;
+}
+
+template <typename T>
+void refine_each(const LinearOperator<T>& op, const Transfer<T>& transfer,
+                 const SchurCoarseOp<T>& schur,
+                 std::vector<ColorSpinorField<T>>& vecs, int iters,
+                 const SolverParams& smooth) {
+  auto r = op.create_vector();
+  auto x = op.create_vector();
+  auto r_c = transfer.create_coarse_vector();
+  auto e_c = r_c.similar();
+  auto b_hat = schur.create_vector();
+  auto e_e = schur.create_vector();
+  for (auto& v : vecs) {
+    for (int it = 0; it < iters; ++it) {
+      op.apply(r, v);
+      blas::scale(T(-1), r);
+      transfer.restrict_to_coarse(r_c, r);
+      schur.prepare(b_hat, r_c);
+      blas::zero(e_e);
+      GcrSolver<T>(schur, refine_coarse_params()).solve(e_e, b_hat);
+      schur.reconstruct(e_c, e_e, r_c);
+      transfer.prolongate(x, e_c);
+      MrSolver<T>(op, smooth).solve(x, r);
+      blas::axpy(T(1), x, v);
+      normalize(v);
+    }
+  }
+}
+
+/// refine_each as one block two-grid sweep over all candidates; the blocks
+/// are allocated once and reused across sweeps.
+template <typename T>
+void refine_batched(const LinearOperator<T>& op, const Transfer<T>& transfer,
+                    const SchurCoarseOp<T>& schur, BlockSpinor<T>& v,
+                    int iters, const SolverParams& smooth) {
+  const int n = v.nrhs();
+  BlockSpinor<T> r = v.similar();
+  BlockSpinor<T> x = v.similar();
+  BlockSpinor<T> r_c = transfer.create_coarse_block(n);
+  BlockSpinor<T> e_c = r_c.similar();
+  BlockSpinor<T> b_hat = schur.create_block(n);
+  BlockSpinor<T> e_e = b_hat.similar();
+  const std::vector<T> minus_one(static_cast<size_t>(n), T(-1));
+  const std::vector<T> one(static_cast<size_t>(n), T(1));
+  for (int it = 0; it < iters; ++it) {
+    op.apply_block(r, v);
+    blas::block_scale(minus_one, r);
+    transfer.restrict_to_coarse(r_c, r);
+    schur.prepare_block(b_hat, r_c);
+    blas::block_zero(e_e);
+    BlockGcrSolver<T>(schur, refine_coarse_params()).solve(e_e, b_hat);
+    schur.reconstruct_block(e_c, e_e, r_c);
+    transfer.prolongate(x, e_c);
+    BlockMrSolver<T>(op, smooth).solve(x, r);
+    blas::block_axpy(one, x, v);
+    normalize(v);
+  }
+}
+
 }  // namespace
 
 template <typename T>
 std::vector<ColorSpinorField<T>> generate_null_vectors(
-    const LinearOperator<T>& op, const NullSpaceParams& params) {
+    const LinearOperator<T>& op, const NullSpaceParams& params,
+    bool batched) {
   std::vector<ColorSpinorField<T>> vecs;
   vecs.reserve(params.nvec);
-  const T omega = static_cast<T>(params.omega);
-
-  auto r = op.create_vector();
-  auto mr = op.create_vector();
-
   for (int k = 0; k < params.nvec; ++k) {
-    auto x = op.create_vector();
-    x.gaussian(params.seed + 1000 * static_cast<std::uint64_t>(k));
-
-    if (params.method == NullSpaceMethod::InverseIterate) {
-      // Inverse iteration: x <- M^{-1} eta computed loosely.  The solve
-      // amplifies the low modes by their inverse eigenvalues — a stronger
-      // enrichment than relaxation when the operator is near-critical.
-      auto eta = x;
-      blas::zero(x);
-      SolverParams sp;
-      sp.tol = params.inverse_tol;
-      sp.max_iter = std::max(params.iters, 10);
-      BiCgStabSolver<T>(op, sp).solve(x, eta);
-    } else {
-      mr_relax_homogeneous(op, x, r, mr, params.iters, omega);
-    }
-
-    normalize(x);
-    vecs.push_back(std::move(x));
+    vecs.push_back(op.create_vector());
+    vecs.back().gaussian(params.seed + 1000 * static_cast<std::uint64_t>(k));
   }
+  relax_and_normalize(op, vecs, params.iters, static_cast<T>(params.omega),
+                      batched);
   return vecs;
 }
 
 template <typename T>
 void relax_null_vectors(const LinearOperator<T>& op,
                         std::vector<ColorSpinorField<T>>& vecs, int iters,
-                        double omega) {
+                        double omega, bool batched) {
+  if (iters <= 0) return;
+  relax_and_normalize(op, vecs, iters, static_cast<T>(omega), batched);
+}
+
+template <typename T>
+void refine_null_vectors(const LinearOperator<T>& op,
+                         const Transfer<T>& transfer,
+                         const CoarseDirac<T>& coarse,
+                         std::vector<ColorSpinorField<T>>& vecs, int iters,
+                         int smooth_iters, double omega, bool batched) {
   if (vecs.empty() || iters <= 0) return;
-  auto r = op.create_vector();
-  auto mr = op.create_vector();
-  for (auto& x : vecs) {
-    mr_relax_homogeneous(op, x, r, mr, iters, static_cast<T>(omega));
-    normalize(x);
+  const SchurCoarseOp<T> schur(coarse);
+  SolverParams smooth;
+  smooth.tol = 0;  // fixed iteration count (smoother mode)
+  smooth.max_iter = smooth_iters;
+  smooth.omega = omega;
+  if (batched) {
+    BlockSpinor<T> v = pack_block(vecs);
+    refine_batched(op, transfer, schur, v, iters, smooth);
+    unpack_block(vecs, v);
+  } else {
+    refine_each(op, transfer, schur, vecs, iters, smooth);
   }
 }
 
 template std::vector<ColorSpinorField<double>> generate_null_vectors<double>(
-    const LinearOperator<double>&, const NullSpaceParams&);
+    const LinearOperator<double>&, const NullSpaceParams&, bool);
 template std::vector<ColorSpinorField<float>> generate_null_vectors<float>(
-    const LinearOperator<float>&, const NullSpaceParams&);
+    const LinearOperator<float>&, const NullSpaceParams&, bool);
 template void relax_null_vectors<double>(const LinearOperator<double>&,
                                          std::vector<ColorSpinorField<double>>&,
-                                         int, double);
+                                         int, double, bool);
 template void relax_null_vectors<float>(const LinearOperator<float>&,
                                         std::vector<ColorSpinorField<float>>&,
-                                        int, double);
+                                        int, double, bool);
+template void refine_null_vectors<double>(
+    const LinearOperator<double>&, const Transfer<double>&,
+    const CoarseDirac<double>&, std::vector<ColorSpinorField<double>>&, int,
+    int, double, bool);
+template void refine_null_vectors<float>(
+    const LinearOperator<float>&, const Transfer<float>&,
+    const CoarseDirac<float>&, std::vector<ColorSpinorField<float>>&, int,
+    int, double, bool);
 
 }  // namespace qmg

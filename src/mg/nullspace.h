@@ -1,38 +1,46 @@
 #pragma once
-// Adaptive null-space generation (paper section 3.4, steps 1-2): iterate the
+// Adaptive null-space setup (paper section 3.4, steps 1-2): iterate the
 // homogeneous system M x = 0 from a random start with a smoother; what
 // survives k iterations is rich in the slow-to-converge (near-null) modes of
-// M.  These candidate vectors become the prolongator columns.
+// M.  These candidate vectors become the prolongator columns, and adaptive
+// refinement then drives them through the current two-grid method.
+//
+// Every routine runs in one of two executions over the same per-candidate
+// arithmetic.  Per vector, each candidate is a single-rhs stream through
+// apply().  Batched, all candidates advance as one nvec-wide BlockSpinor
+// through apply_block, the block BLAS and the masked block solvers, which
+// gives the latency-bound coarse grids an rhs axis of work (the multi-rhs
+// strategy of paper section 9).  The batched kernels and solvers are
+// bit-identical per rhs to their single-rhs forms at a fixed kernel config,
+// so each candidate comes out bit-identical to its per-vector result
+// whenever the operators run pinned configs (set_kernel_config).
 
 #include <cstdint>
 #include <vector>
 
 #include "fields/colorspinor.h"
+#include "mg/coarse_op.h"
+#include "mg/transfer.h"
 #include "solvers/linear_operator.h"
 
 namespace qmg {
-
-enum class NullSpaceMethod {
-  Relax,           // MR relaxation on M x = 0 (paper section 3.4 steps 1-2)
-  InverseIterate,  // loose BiCGStab solve of M x = eta (inverse iteration);
-                   // stronger low-mode enrichment near criticality
-};
 
 struct NullSpaceParams {
   int nvec = 24;        // candidate vectors (24 or 32 in the paper's runs)
   int iters = 100;      // relaxation iterations on M x = 0 per vector
   double omega = 0.85;  // MR relaxation factor
   std::uint64_t seed = 7;
-  NullSpaceMethod method = NullSpaceMethod::Relax;
-  double inverse_tol = 5e-3;  // inner tolerance for InverseIterate
 };
 
 /// Generate `params.nvec` near-null vectors of `op` by MR relaxation on the
 /// homogeneous system.  Vectors are normalized but not block-orthonormalized
-/// (the Transfer does that).
+/// (the Transfer does that).  With `batched` the candidates relax as one
+/// masked block-MR: a candidate whose <Mr,Mr> reaches 0 is frozen at the
+/// iteration where the per-vector loop stops.
 template <typename T>
 std::vector<ColorSpinorField<T>> generate_null_vectors(
-    const LinearOperator<T>& op, const NullSpaceParams& params);
+    const LinearOperator<T>& op, const NullSpaceParams& params,
+    bool batched = false);
 
 /// Refresh existing candidate vectors in place: `iters` MR relaxation
 /// sweeps on M x = 0 starting from each CURRENT vector instead of a random
@@ -40,10 +48,26 @@ std::vector<ColorSpinorField<T>> generate_null_vectors(
 /// configuration correlated with the one the vectors were generated on,
 /// they are already near-null up to the configuration drift, so a handful
 /// of sweeps re-adapts them at a fraction of the from-scratch cost.
-/// Vectors are re-normalized.
+/// Vectors are re-normalized.  `batched` as for generate_null_vectors.
 template <typename T>
 void relax_null_vectors(const LinearOperator<T>& op,
                         std::vector<ColorSpinorField<T>>& vecs, int iters,
-                        double omega);
+                        double omega, bool batched = false);
+
+/// One adaptive-setup pass: v <- normalize((1 - B M) v), `iters` times per
+/// candidate, where M = `op` and B is the two-grid cycle over `transfer`
+/// and `coarse`: restrict, a loose GCR on the even-odd Schur system of
+/// `coarse`, prolongate, then `smooth_iters` MR post-smoothing sweeps with
+/// relaxation factor `omega` on `op`.  Components the coarse space already
+/// captures are annihilated, leaving v rich in the error modes the method
+/// cannot yet treat.  With `batched` each sweep is one block two-grid cycle
+/// over all candidates (block GCR and block MR, per-rhs masked, so a zero
+/// candidate stays zero).
+template <typename T>
+void refine_null_vectors(const LinearOperator<T>& op,
+                         const Transfer<T>& transfer,
+                         const CoarseDirac<T>& coarse,
+                         std::vector<ColorSpinorField<T>>& vecs, int iters,
+                         int smooth_iters, double omega, bool batched = false);
 
 }  // namespace qmg

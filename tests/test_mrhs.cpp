@@ -4,12 +4,16 @@
 // MG cycle, and the masked block GCR — must be BIT-identical, rhs by rhs,
 // to N single-rhs applications with the same kernel configuration, across
 // the Serial and Threaded backends at 1/2/4/8 threads and across
-// rhs-blockings.  Plus the TuneCache persistence round trip and the
-// hoisted MRHS validation.
+// rhs-blockings.  The batched coarse-level MG setup (mg/nullspace.h) must
+// reproduce the per-vector setup candidate by candidate.  Plus the
+// TuneCache persistence round trip and the hoisted MRHS validation.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
 
 #include "core/context.h"
@@ -478,6 +482,127 @@ TEST_F(MrhsEquivalenceTest, BatchedCycleBitIdentical) {
           bits_equal(x_block.extract_rhs(k), ref_x[static_cast<size_t>(k)]))
           << "threads=" << t << " rhs=" << k;
   }
+}
+
+// --- Batched coarse-level setup ----------------------------------------------
+
+/// A three-level hierarchy over the shared 4^4 operator, with 2x2x2x4 and
+/// 2^4 coarse grids (every extent even, so both coarse levels have a Schur
+/// complement).  Both coarse operators run a pinned kernel config, the
+/// condition of the per-candidate bit-identity contract.
+class BatchedSetupTest : public MrhsEquivalenceTest {
+ protected:
+  using Fields = std::vector<ColorSpinorField<double>>;
+
+  void SetUp() override {
+    MrhsEquivalenceTest::SetUp();
+    MgLevelConfig l1;
+    l1.block = {2, 2, 2, 1};
+    l1.nvec = 4;
+    l1.null_iters = 8;
+    MgLevelConfig l2 = l1;
+    l2.block = {1, 1, 1, 2};
+    MgConfig config;
+    config.levels = {l1, l2};
+    use_serial();
+    mg_ = std::make_unique<Multigrid<double>>(*op_, config);
+    for (int l = 0; l < 2; ++l)
+      mg_->coarse_op_mutable(l).set_kernel_config(
+          {Strategy::ColorSpin, 1, 1, 2});
+  }
+
+  const CoarseDirac<double>& level1() const { return mg_->coarse_op(0); }
+
+  /// Level-1 candidates: four partly relaxed vectors, then an all-zero one
+  /// that the batched routines must keep masked while the others move.
+  Fields candidates() const {
+    NullSpaceParams ns;
+    ns.nvec = 4;
+    ns.iters = 3;
+    ns.seed = 211;
+    Fields vecs = generate_null_vectors(level1(), ns);
+    vecs.push_back(level1().create_vector());
+    return vecs;
+  }
+
+  /// Runs `batched` at Serial and at Threaded with 1, 2 and 4 threads, and
+  /// checks every candidate bitwise against the per-vector `ref`.
+  static void expect_matches_per_vector(const Fields& ref,
+                                        const std::function<Fields()>& batched) {
+    for (const int threads : {0, 1, 2, 4}) {
+      if (threads == 0)
+        use_serial();
+      else
+        use_threaded(threads);
+      const Fields got = batched();
+      ASSERT_EQ(got.size(), ref.size());
+      for (size_t k = 0; k < ref.size(); ++k)
+        EXPECT_TRUE(bits_equal(got[k], ref[k]))
+            << (threads == 0 ? "serial" : "threaded")
+            << " threads=" << threads << " candidate=" << k;
+    }
+  }
+
+  /// Every candidate but the last is finite, unit-norm and moved away from
+  /// its start; the last (all-zero) one is still exactly zero.
+  static void expect_zero_candidate_masked(const Fields& start,
+                                           const Fields& out) {
+    ASSERT_EQ(out.size(), start.size());
+    for (size_t k = 0; k + 1 < out.size(); ++k) {
+      const double n2 = blas::norm2(out[k]);
+      EXPECT_TRUE(std::isfinite(n2)) << "candidate " << k;
+      EXPECT_NEAR(n2, 1.0, 1e-12) << "candidate " << k;
+      EXPECT_FALSE(bits_equal(out[k], start[k])) << "candidate " << k;
+    }
+    const auto& zero = out.back();
+    for (long i = 0; i < zero.size(); ++i)
+      ASSERT_TRUE(zero.data()[i].re == 0.0 && zero.data()[i].im == 0.0)
+          << "zero candidate changed at element " << i;
+  }
+
+  std::unique_ptr<Multigrid<double>> mg_;
+};
+
+TEST_F(BatchedSetupTest, BatchedGenerationMatchesPerVector) {
+  NullSpaceParams ns;
+  ns.nvec = 5;
+  ns.iters = 12;
+  ns.seed = 307;
+  use_serial();
+  const Fields ref = generate_null_vectors(level1(), ns);
+  for (const auto& v : ref) EXPECT_NEAR(blas::norm2(v), 1.0, 1e-12);
+  expect_matches_per_vector(ref, [&] {
+    return generate_null_vectors(level1(), ns, /*batched=*/true);
+  });
+}
+
+TEST_F(BatchedSetupTest, BatchedRefreshMatchesPerVector) {
+  use_serial();
+  const Fields start = candidates();
+  Fields ref = start;
+  relax_null_vectors(level1(), ref, 10, 0.85);
+  expect_zero_candidate_masked(start, ref);
+  expect_matches_per_vector(ref, [&] {
+    Fields vecs = start;
+    relax_null_vectors(level1(), vecs, 10, 0.85, /*batched=*/true);
+    return vecs;
+  });
+}
+
+TEST_F(BatchedSetupTest, BatchedRefinementMatchesPerVector) {
+  use_serial();
+  const Fields start = candidates();
+  Fields ref = start;
+  refine_null_vectors(level1(), mg_->transfer(1), mg_->coarse_op(1), ref,
+                      /*iters=*/2, /*smooth_iters=*/4, 0.85);
+  expect_zero_candidate_masked(start, ref);
+  expect_matches_per_vector(ref, [&] {
+    Fields vecs = start;
+    refine_null_vectors(level1(), mg_->transfer(1), mg_->coarse_op(1), vecs,
+                        /*iters=*/2, /*smooth_iters=*/4, 0.85,
+                        /*batched=*/true);
+    return vecs;
+  });
 }
 
 TEST(TuneCachePersistence, RoundTripsKernelAndLaunchEntries) {
