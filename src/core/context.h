@@ -38,9 +38,11 @@ struct ContextOptions {
   Backend backend = Backend::Threaded;
   int threads = 0;
   // Lane width for the process default policy (LaunchPolicy::simd_width):
-  // 0 = auto — the build's native pack width under Backend::Simd, scalar
-  // under Threaded.  Set explicitly (1/2/4/8) to pin the width of the
-  // width-aware kernels, e.g. to vectorize the Threaded backend.
+  // 0 = auto — the batched (rhs-lane) kernels run a full native register of
+  // their precision under Threaded and Simd (float twice the double lanes;
+  // rhs_lane_width), single-rhs BLAS runs the double-lane cap under Simd
+  // and scalar under Threaded.  Set explicitly (1/2/4/8) to pin the width
+  // of every width-aware kernel, e.g. 1 for scalar batched kernels.
   int simd_width = 0;
   // Launch-policy persistence: when non-empty, the TuneCache (kernel
   // configs + launch backends + rhs-blockings) is loaded from this file at

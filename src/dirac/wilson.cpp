@@ -5,6 +5,7 @@
 
 #include "dirac/gamma.h"
 #include "dirac/hop.h"
+#include "fields/blas.h"
 #include "fields/lanes.h"
 #include "parallel/dispatch.h"
 
@@ -65,12 +66,6 @@ inline void block_multiply(const typename CloverField<T>::Block& a,
   }
 }
 
-/// Resolved lane width of the default policy for an nrhs-wide batched
-/// kernel (1 = take the scalar path).
-inline int block_kernel_width(const LaunchPolicy& policy, int nrhs) {
-  return simd::width_for(effective_simd_width(policy), static_cast<long>(nrhs));
-}
-
 /// Dispatch the width path of a batched (site x rhs) kernel: runs
 /// pack_site(i, k0, width_tag<W>) for every site and full lane group of W
 /// consecutive rhs, then scalar_site(i, k) for the nrhs % W tail.  The
@@ -126,7 +121,7 @@ void block_hopping_kernel(BlockSpinor<T>& out, const BlockSpinor<T>& in,
     }
     out.scatter_site_rhs(i, k, accum);
   };
-  const int w = block_kernel_width(policy, in.nrhs());
+  const int w = rhs_lane_width<T>(policy, in.nrhs());
   if (w > 1) {
     block_lanes_2d(
         n_out, in.nrhs(), policy, w,
@@ -190,7 +185,7 @@ void block_dslash_kernel(BlockSpinor<T>& out, const BlockSpinor<T>& in,
     for (int d = 0; d < 12; ++d) diag[d] = diag[d] - accum[d];
     out.scatter_site_rhs(x, k, diag);
   };
-  const int w = block_kernel_width(policy, in.nrhs());
+  const int w = rhs_lane_width<T>(policy, in.nrhs());
   if (w > 1) {
     block_lanes_2d(
         geom.volume(), in.nrhs(), policy, w,
@@ -439,7 +434,7 @@ void WilsonCloverOp<T>::apply_diag_block(BlockField& out, const BlockField& in,
     }
     out.scatter_site_rhs(i, k, dst);
   };
-  const int w = block_kernel_width(policy, in.nrhs());
+  const int w = rhs_lane_width<T>(policy, in.nrhs());
   if (w > 1) {
     block_lanes_2d(
         in.nsites(), in.nrhs(), policy, w,
@@ -471,7 +466,7 @@ void WilsonCloverOp<T>::apply_diag_inverse_block(BlockField& out,
   check_block_pair(out, in, gauge_.geometry());
   const auto& geom = *gauge_.geometry();
   const LaunchPolicy policy = default_policy();
-  const int w = block_kernel_width(policy, in.nrhs());
+  const int w = rhs_lane_width<T>(policy, in.nrhs());
   if (clover_) {
     assert(clover_->has_inverse());
     auto scalar_site = [&](long i, int k) {
@@ -578,7 +573,9 @@ void SchurWilsonOp<T>::apply_block(BlockField& out, const BlockField& in) const 
   fine_.apply_diag_inverse_block(odd2, odd, /*parity=*/1);
   fine_.apply_hopping_parity_block(even, odd2, /*out_parity=*/0);
   fine_.apply_diag_block(out, in, /*parity=*/0);
-  for (long k = 0; k < out.size(); ++k) out.data()[k] -= even.data()[k];
+  // out -= even through the parallel block BLAS: adding -1 * x is exactly
+  // subtracting x in IEEE arithmetic, so the bits match the scalar loop.
+  blas::block_axpy(std::vector<T>(nrhs, T(-1)), even, out);
 }
 
 template <typename T>
@@ -592,7 +589,7 @@ void SchurWilsonOp<T>::prepare_block(BlockField& b_hat,
   fine_.apply_diag_inverse_block(odd, b_odd, /*parity=*/1);
   fine_.apply_hopping_parity_block(even, odd, /*out_parity=*/0);
   extract_parity_block(b_hat, b, 0);
-  for (long k = 0; k < b_hat.size(); ++k) b_hat.data()[k] += even.data()[k];
+  blas::block_axpy(std::vector<T>(nrhs, T(1)), even, b_hat);
 }
 
 template <typename T>
@@ -605,7 +602,7 @@ void SchurWilsonOp<T>::reconstruct_block(BlockField& x_full,
   fine_.apply_hopping_parity_block(odd, x_even, /*out_parity=*/1);
   BlockField b_odd(fine_.geometry(), 4, 3, nrhs, Subset::Odd);
   extract_parity_block(b_odd, b, 1);
-  for (long k = 0; k < b_odd.size(); ++k) b_odd.data()[k] += odd.data()[k];
+  blas::block_axpy(std::vector<T>(nrhs, T(1)), odd, b_odd);
   BlockField odd2(fine_.geometry(), 4, 3, nrhs, Subset::Odd);
   fine_.apply_diag_inverse_block(odd2, b_odd, /*parity=*/1);
   insert_parity_block(x_full, x_even, 0);

@@ -7,9 +7,12 @@
 // order, recorded in SimtStats), Host fields through the process default
 // policy (Threaded unless retuned).
 //
-// When the active policy requests SIMD lanes (Backend::Simd, or Threaded
-// with simd_width > 1 — see effective_simd_width in parallel/dispatch.h),
-// the hot kernels run width-aware paths built on the linalg/simd.h packs:
+// When the active policy requests SIMD lanes, the hot kernels run
+// width-aware paths built on the linalg/simd.h packs.  The block ops ask
+// rhs_lane_width (native lanes of their precision under Threaded and Simd
+// by default); the single-rhs ops ask effective_simd_width (Backend::Simd,
+// or Threaded with an explicit simd_width > 1), both in
+// parallel/dispatch.h:
 //
 //   single-rhs streaming ops  — W-aligned site ranges: the op's scalar
 //       loop runs inline over each range (ONE lanes_for_each range call
@@ -630,7 +633,7 @@ void block_copy(BlockSpinor<T>& y, const BlockSpinor<T>& x,
   assert(y.size() == x.size() && y.nrhs() == x.nrhs());
   const int nrhs = x.nrhs();
   const LaunchPolicy p = detail::policy_for(Location::Host);
-  const int w = simd::width_for(effective_simd_width(p), nrhs);
+  const int w = rhs_lane_width<T>(p, nrhs);
   if (w > 1) {
     // Hoist the raw pointers out of the element body (the single-rhs ops do
     // the same): x.at(i, k) re-reads the field's data pointer and stride
@@ -659,7 +662,7 @@ void block_axpy(const std::vector<T>& a, const BlockSpinor<T>& x,
   assert(y.size() == x.size() && static_cast<int>(a.size()) == x.nrhs());
   const int nrhs = x.nrhs();
   const LaunchPolicy p = detail::policy_for(Location::Host);
-  const int w = simd::width_for(effective_simd_width(p), nrhs);
+  const int w = rhs_lane_width<T>(p, nrhs);
   if (w > 1) {
     const Complex<T>* xd = x.data();
     Complex<T>* yd = y.data();
@@ -687,7 +690,7 @@ void block_caxpy(const std::vector<Complex<T>>& a, const BlockSpinor<T>& x,
   assert(y.size() == x.size() && static_cast<int>(a.size()) == x.nrhs());
   const int nrhs = x.nrhs();
   const LaunchPolicy p = detail::policy_for(Location::Host);
-  const int w = simd::width_for(effective_simd_width(p), nrhs);
+  const int w = rhs_lane_width<T>(p, nrhs);
   if (w > 1) {
     const Complex<T>* xd = x.data();
     Complex<T>* yd = y.data();
@@ -715,7 +718,7 @@ void block_xpay(const BlockSpinor<T>& x, const std::vector<T>& a,
   assert(y.size() == x.size() && static_cast<int>(a.size()) == x.nrhs());
   const int nrhs = x.nrhs();
   const LaunchPolicy p = detail::policy_for(Location::Host);
-  const int w = simd::width_for(effective_simd_width(p), nrhs);
+  const int w = rhs_lane_width<T>(p, nrhs);
   if (w > 1) {
     const Complex<T>* xd = x.data();
     Complex<T>* yd = y.data();
@@ -743,7 +746,7 @@ void block_scale(const std::vector<T>& a, BlockSpinor<T>& x,
   assert(static_cast<int>(a.size()) == x.nrhs());
   const int nrhs = x.nrhs();
   const LaunchPolicy p = detail::policy_for(Location::Host);
-  const int w = simd::width_for(effective_simd_width(p), nrhs);
+  const int w = rhs_lane_width<T>(p, nrhs);
   if (w > 1) {
     Complex<T>* xd = x.data();
     const T* ad = a.data();
@@ -769,7 +772,7 @@ void block_scale(const std::vector<T>& a, BlockSpinor<T>& x,
 template <typename T>
 std::vector<double> block_norm2(const BlockSpinor<T>& x,
                                 const LaunchPolicy& p) {
-  const int w = simd::width_for(effective_simd_width(p), x.nrhs());
+  const int w = rhs_lane_width<T>(p, x.nrhs());
   if (w > 1) return detail::block_norm2_w(p, w, x);
   return detail::block_reduce<double>(
       x.rhs_size(), x.nrhs(), p,
@@ -788,7 +791,7 @@ std::vector<complexd> block_cdot(const BlockSpinor<T>& x,
                                  const BlockSpinor<T>& y,
                                  const LaunchPolicy& p) {
   assert(y.size() == x.size() && y.nrhs() == x.nrhs());
-  const int w = simd::width_for(effective_simd_width(p), x.nrhs());
+  const int w = rhs_lane_width<T>(p, x.nrhs());
   if (w > 1) return detail::block_cdot_w(p, w, x, y);
   return detail::block_reduce<complexd>(
       x.rhs_size(), x.nrhs(), p, [&](long i, int k) {

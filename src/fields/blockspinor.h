@@ -16,12 +16,14 @@
 // kernels are bit-identical to N single-rhs applies whenever their per-rhs
 // arithmetic is.
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <vector>
 
 #include "fields/colorspinor.h"
 #include "linalg/aligned.h"
+#include "parallel/dispatch.h"
 
 namespace qmg {
 
@@ -179,6 +181,21 @@ void unpack_block(std::vector<ColorSpinorField<T>>& fields,
     block.extract_rhs(fields[static_cast<size_t>(k)], k);
 }
 
+/// Launch policy of the element passes below (parity copies, precision
+/// conversion), whose dispatch items each move `item_elems` complex
+/// elements: the default policy, engaging the pool only when every worker
+/// gets at least ~1024 elements (the host BLAS threshold) — a smaller copy
+/// costs less than waking the pool.  Every pass is pure per-element copies,
+/// so results are bit-identical under any split.  Callers run on the
+/// solve's calling thread, never on a comm worker (ThreadPool::run is
+/// single-caller).
+inline LaunchPolicy block_pass_policy(long item_elems) {
+  LaunchPolicy p = default_policy();
+  const long grain = (1024 + item_elems - 1) / item_elems;
+  if (p.grain < grain) p.grain = grain;
+  return p;
+}
+
 /// Copy the given parity's sites of a full block into a parity block
 /// (block analog of extract_parity; exact element copies).
 template <typename T>
@@ -186,16 +203,17 @@ void extract_parity_block(BlockSpinor<T>& out, const BlockSpinor<T>& in,
                           int parity) {
   if (in.subset() != Subset::Full ||
       out.subset() != (parity ? Subset::Odd : Subset::Even) ||
-      out.nrhs() != in.nrhs())
+      out.nrhs() != in.nrhs() || out.site_dof() != in.site_dof())
     throw std::invalid_argument("extract_parity_block: shape mismatch");
   const auto& geom = *in.geometry();
-  for (long cb = 0; cb < geom.half_volume(); ++cb) {
-    const long full = geom.full_index(parity, cb);
-    for (int s = 0; s < in.nspin(); ++s)
-      for (int c = 0; c < in.ncolor(); ++c)
-        for (int k = 0; k < in.nrhs(); ++k)
-          out(cb, s, c, k) = in(full, s, c, k);
-  }
+  // A site's dof x rhs values are contiguous in both layouts.
+  const long site_elems = static_cast<long>(in.site_dof()) * in.nrhs();
+  parallel_for(geom.half_volume(), block_pass_policy(site_elems),
+               [&](long cb) {
+                 const Complex<T>* src =
+                     in.site_data(geom.full_index(parity, cb));
+                 std::copy(src, src + site_elems, out.site_data(cb));
+               });
 }
 
 /// Scatter a parity block back into the corresponding sites of a full block.
@@ -204,16 +222,28 @@ void insert_parity_block(BlockSpinor<T>& out, const BlockSpinor<T>& in,
                          int parity) {
   if (out.subset() != Subset::Full ||
       in.subset() != (parity ? Subset::Odd : Subset::Even) ||
-      out.nrhs() != in.nrhs())
+      out.nrhs() != in.nrhs() || out.site_dof() != in.site_dof())
     throw std::invalid_argument("insert_parity_block: shape mismatch");
   const auto& geom = *out.geometry();
-  for (long cb = 0; cb < geom.half_volume(); ++cb) {
-    const long full = geom.full_index(parity, cb);
-    for (int s = 0; s < out.nspin(); ++s)
-      for (int c = 0; c < out.ncolor(); ++c)
-        for (int k = 0; k < out.nrhs(); ++k)
-          out(full, s, c, k) = in(cb, s, c, k);
-  }
+  const long site_elems = static_cast<long>(in.site_dof()) * in.nrhs();
+  parallel_for(geom.half_volume(), block_pass_policy(site_elems),
+               [&](long cb) {
+                 const Complex<T>* src = in.site_data(cb);
+                 std::copy(src, src + site_elems,
+                           out.site_data(geom.full_index(parity, cb)));
+               });
+}
+
+template <typename To, typename From>
+void convert_block_into(BlockSpinor<To>& out, const BlockSpinor<From>& in) {
+  if (out.size() != in.size() || out.nrhs() != in.nrhs())
+    throw std::invalid_argument("convert_block_into: shape mismatch");
+  const Complex<From>* src = in.data();
+  Complex<To>* dst = out.data();
+  parallel_for(in.size(), block_pass_policy(1), [src, dst](long i) {
+    dst[i] = Complex<To>(static_cast<To>(src[i].re),
+                         static_cast<To>(src[i].im));
+  });
 }
 
 /// Precision conversion of a whole block (for mixed-precision block solves).
@@ -221,19 +251,8 @@ template <typename To, typename From>
 BlockSpinor<To> convert_block(const BlockSpinor<From>& in) {
   BlockSpinor<To> out(in.geometry(), in.nspin(), in.ncolor(), in.nrhs(),
                       in.subset());
-  for (long i = 0; i < in.size(); ++i)
-    out.data()[i] = Complex<To>(static_cast<To>(in.data()[i].re),
-                                static_cast<To>(in.data()[i].im));
+  convert_block_into(out, in);
   return out;
-}
-
-template <typename To, typename From>
-void convert_block_into(BlockSpinor<To>& out, const BlockSpinor<From>& in) {
-  if (out.size() != in.size() || out.nrhs() != in.nrhs())
-    throw std::invalid_argument("convert_block_into: shape mismatch");
-  for (long i = 0; i < in.size(); ++i)
-    out.data()[i] = Complex<To>(static_cast<To>(in.data()[i].re),
-                                static_cast<To>(in.data()[i].im));
 }
 
 }  // namespace qmg

@@ -18,16 +18,20 @@
 // results are bit-identical to the scalar kernel by construction.  This is
 // what the Simd==Serial bitwise tests in tests/test_simd.cpp pin down.
 
+#include <algorithm>
 #include <cstddef>
 
 #include "linalg/complex.h"
 
-// Compile-time ceiling on the lane width the tuner offers (and the width
-// Backend::Simd's "auto" resolves to).  Every width up to kSimdWidthLimit
-// always COMPILES — the cap only decides which widths are worth running
-// natively.  Override with -DQMG_MAX_SIMD_WIDTH=N (the CMake option);
-// otherwise detect from the target ISA: 8 double lanes per SoA side needs
-// AVX-512, 4 wants AVX, 2 fits SSE2.
+// Compile-time native lane cap, counted in DOUBLE lanes: how many doubles
+// one native vector register holds.  Single-rhs kernels under
+// Backend::Simd resolve "auto" to it; rhs-lane kernels scale it to their
+// precision (native_width below: float gets twice the lanes).  Every
+// width up to kSimdWidthLimit always COMPILES — the cap only decides
+// which widths are worth running natively.  Override with
+// -DQMG_MAX_SIMD_WIDTH=N (the CMake option); otherwise detect from the
+// target ISA: 8 double lanes per SoA side needs AVX-512, 4 wants AVX, 2
+// fits SSE2.
 #ifndef QMG_MAX_SIMD_WIDTH
 #if defined(__AVX512F__)
 #define QMG_MAX_SIMD_WIDTH 8
@@ -47,12 +51,25 @@ namespace simd {
 /// Hard template ceiling: packs are instantiated at 1/2/4/8 only.
 inline constexpr int kSimdWidthLimit = 8;
 
-/// The build's native lane cap (see QMG_MAX_SIMD_WIDTH above).
+/// The build's native lane cap in double lanes (see QMG_MAX_SIMD_WIDTH
+/// above).
 inline constexpr int kMaxSimdWidth =
     QMG_MAX_SIMD_WIDTH < 1
         ? 1
         : (QMG_MAX_SIMD_WIDTH > kSimdWidthLimit ? kSimdWidthLimit
                                                 : QMG_MAX_SIMD_WIDTH);
+
+/// Lanes of T in one native vector: the double-lane cap scaled by
+/// sizeof(double)/sizeof(T) and capped at kSimdWidthLimit, so float fills
+/// the register double fills with twice the lanes (SSE2: 2 double, 4
+/// float; AVX-512: 8 each).  1 in a scalar build.
+template <typename T>
+inline constexpr int native_width =
+    kMaxSimdWidth == 1 || sizeof(T) >= sizeof(double)
+        ? kMaxSimdWidth
+        : std::min(kSimdWidthLimit,
+                   kMaxSimdWidth *
+                       static_cast<int>(sizeof(double) / sizeof(T)));
 
 /// Round a requested width down to a supported pack width {1, 2, 4, 8}.
 inline constexpr int normalize_simd_width(int w) {

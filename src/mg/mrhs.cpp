@@ -52,8 +52,7 @@ void CoarseDirac<T>::apply_block_with_config_st(BlockField& out,
   // arithmetic, the tile % W remainder through the scalar span.
   // rhs_block is clamped to a pack multiple first so no dispatch item
   // ever splits a pack.
-  const int w = simd::width_for(effective_simd_width(policy),
-                                static_cast<long>(nrhs));
+  const int w = rhs_lane_width<T>(policy, nrhs);
   if (w > 1) {
     simd::dispatch_width(w, [&](auto wc) {
       constexpr int W = decltype(wc)::value;

@@ -149,8 +149,7 @@ void Transfer<T>::prolongate(BlockField& fine, const BlockField& coarse) const {
       }
     }
   };
-  const int w = simd::width_for(effective_simd_width(policy),
-                                static_cast<long>(nrhs));
+  const int w = rhs_lane_width<T>(policy, nrhs);
   if (w > 1) {
     simd::dispatch_width(w, [&](auto wc) {
       constexpr int W = decltype(wc)::value;
@@ -214,8 +213,7 @@ void Transfer<T>::restrict_to_coarse(BlockField& coarse,
       }
     }
   };
-  const int w = simd::width_for(effective_simd_width(policy),
-                                static_cast<long>(nrhs));
+  const int w = rhs_lane_width<T>(policy, nrhs);
   if (w > 1) {
     simd::dispatch_width(w, [&](auto wc) {
       constexpr int W = decltype(wc)::value;

@@ -97,22 +97,33 @@ std::vector<LaunchPolicy> TuneCache::launch_candidates() {
   return cands;
 }
 
+namespace {
+/// The widest pack an rhs-lane kernel runs `p` at: float lanes, which are a
+/// multiple of the double lanes, so an rhs-blocking aligned to them never
+/// splits a pack at either precision.
+int widest_rhs_lanes(const LaunchPolicy& p) {
+  return rhs_lane_width<float>(p, simd::kSimdWidthLimit);
+}
+}  // namespace
+
 std::vector<LaunchPolicy> TuneCache::launch_candidates_2d(int nrhs) {
   std::vector<LaunchPolicy> cands;
   std::vector<int> rhs_blocks{0};
   if (nrhs > 1) rhs_blocks.push_back(1);
   if (nrhs >= 8) rhs_blocks.push_back(4);
+  // The auto-width Simd and Threaded bases run native lanes of the
+  // kernel's precision (rhs_lane_width); an explicit width of 1 keeps the
+  // scalar pool in the sweep.
   std::vector<LaunchPolicy> bases = launch_candidates();
-  if (ThreadPool::instance().num_threads() > 1 && simd::kMaxSimdWidth > 1) {
-    // Threads partitioning pack groups: the composed Threaded+lanes policy.
-    LaunchPolicy tw;
-    tw.backend = Backend::Threaded;
-    tw.grain = 1;
-    tw.simd_width = simd::kMaxSimdWidth;
-    bases.push_back(tw);
+  if (ThreadPool::instance().num_threads() > 1) {
+    LaunchPolicy scalar;
+    scalar.backend = Backend::Threaded;
+    scalar.grain = 1;
+    scalar.simd_width = 1;
+    bases.push_back(scalar);
   }
   for (const auto& base : bases) {
-    const int w = effective_simd_width(base);
+    const int w = widest_rhs_lanes(base);
     for (const int rb : rhs_blocks) {
       // Never emit an rhs-blocking that would split a lane pack across
       // dispatch items (align_rhs_block guards hand-set policies; the
@@ -226,16 +237,21 @@ int TuneCache::tune_param(const std::string& key,
 }
 
 namespace {
+// Version 6: an L line's simd_width 0 means native lanes of the kernel's
+// precision under Threaded and Simd (rhs_lane_width).  Earlier versions
+// meant the double-lane cap under Simd and scalar under Threaded by it, so
+// their auto entries load with the explicit width they ran at.
 // Version 5 adds P lines: scalar algorithm parameters (the CA coarsest
 // solver's tuned s-depth), tab-separated key/value like K and L lines.
 // Version 4: L lines carry the tuned simd_width and tune keys carry the
 // compile-time pack-width tag (/W=).  Version-3 files (no width field,
 // keys without /W=) and version-2 files (additionally no /P= precision
-// tag) are still loadable (see load): their entries merge verbatim —
-// six-token L lines get simd_width 0 — and simply never match the new
-// width-tagged lookups, so a cache written by a build with a different
+// tag) are still loadable (see load): their entries merge — six-token L
+// lines get an auto width, resolved as above — and simply never match the
+// new width-tagged lookups, so a cache written by a build with a different
 // native pack width re-tunes instead of replaying its policies.
-constexpr const char* kTuneCacheHeader = "qmg-tune-cache 5";
+constexpr const char* kTuneCacheHeader = "qmg-tune-cache 6";
+constexpr const char* kTuneCacheHeaderV5 = "qmg-tune-cache 5";
 constexpr const char* kTuneCacheHeaderV4 = "qmg-tune-cache 4";
 constexpr const char* kTuneCacheHeaderV3 = "qmg-tune-cache 3";
 constexpr const char* kTuneCacheHeaderV2 = "qmg-tune-cache 2";
@@ -267,9 +283,11 @@ bool TuneCache::load(const std::string& path) {
   if (!in) return false;
   std::string line;
   if (!std::getline(in, line) ||
-      (line != kTuneCacheHeader && line != kTuneCacheHeaderV4 &&
-       line != kTuneCacheHeaderV3 && line != kTuneCacheHeaderV2))
+      (line != kTuneCacheHeader && line != kTuneCacheHeaderV5 &&
+       line != kTuneCacheHeaderV4 && line != kTuneCacheHeaderV3 &&
+       line != kTuneCacheHeaderV2))
     return false;
+  const bool legacy_auto_width = line != kTuneCacheHeader;
   // Parse into staging maps and commit only on full success, so a corrupt
   // or truncated file never half-merges into the live cache.  Every field
   // is range-checked: loaded values feed stack-array extents in the
@@ -322,9 +340,13 @@ bool TuneCache::load(const std::string& path) {
             p.sim_block_dim < 1 || p.rhs_block < 0 ||
             !valid_simd_width(p.simd_width))
           return false;
+        if (legacy_auto_width && p.simd_width == 0) {
+          if (p.backend == Backend::Simd) p.simd_width = simd::kMaxSimdWidth;
+          if (p.backend == Backend::Threaded) p.simd_width = 1;
+        }
         // A policy whose rhs-blocking would split a lane pack across
         // dispatch items is invalid however it got into a file.
-        const int w = effective_simd_width(p);
+        const int w = widest_rhs_lanes(p);
         if (w > 1 && p.rhs_block > 0 && p.rhs_block % w != 0) return false;
         staged_launch[tok[1]] = p;
       } else if (tok.size() == 3 && tok[0] == "P") {

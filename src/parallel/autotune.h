@@ -73,12 +73,14 @@ class TuneCache {
   /// selected by timing.)
   static std::vector<LaunchPolicy> launch_candidates();
 
-  /// Candidates for a 2D (site x rhs) launch: launch_candidates() — plus a
-  /// composed Threaded+lanes policy — crossed with representative
-  /// rhs-blockings: 0 (whole rhs axis in one item: maximum stencil reuse),
-  /// 1 (one item per (site, rhs): maximum parallelism), and a middle tile
-  /// when nrhs is large enough.  Pairs whose rhs_block would split a lane
-  /// pack across dispatch items are never emitted.
+  /// Candidates for a 2D (site x rhs) launch: launch_candidates(), whose
+  /// auto-width Simd and Threaded entries run native lanes of the kernel's
+  /// precision (rhs_lane_width), plus a scalar Threaded policy (explicit
+  /// width 1), crossed with representative rhs-blockings: 0 (whole rhs axis
+  /// in one item: maximum stencil reuse), 1 (one item per (site, rhs):
+  /// maximum parallelism), and a middle tile when nrhs is large enough.
+  /// Pairs whose rhs_block would split a float lane pack (a multiple of
+  /// the double one) across dispatch items are never emitted.
   static std::vector<LaunchPolicy> launch_candidates_2d(int nrhs);
 
   /// Time each candidate with `run` (seconds) and return the fastest,
@@ -123,15 +125,21 @@ class TuneCache {
   /// merges into the current cache; both return false on I/O or format
   /// errors.
   ///
-  /// File version 5 adds P lines (scalar algorithm parameters, e.g. the CA
-  /// s-depth).  Version 4 L lines carry the tuned simd_width and keys carry
-  /// the build's native pack-width tag (the /W= field of coarse_tune_key /
-  /// mrhs_tune_key).  Version-3 files (precision-tagged keys, no width) and
-  /// version-2 files (neither) are still accepted: their entries merge
-  /// verbatim but can no longer be hit by the tagged lookups, so a stale
-  /// cache re-tunes instead of silently replaying a config tuned for a
-  /// different element precision or pack width.  Entries whose rhs_block
-  /// would split a lane pack across dispatch items are rejected outright.
+  /// File version 6 reads an L line's simd_width 0 as native rhs lanes
+  /// under Threaded and Simd (rhs_lane_width); an auto width in an older
+  /// file loads as the explicit width it meant when written (1 under
+  /// Threaded, the double-lane cap under Simd), so a pre-v6 cache never
+  /// replays a scalar-tuned Threaded entry with lanes.  Version 5 adds P
+  /// lines (scalar algorithm parameters, e.g. the CA s-depth).  Version 4
+  /// L lines carry the tuned simd_width and keys carry the build's native
+  /// pack-width tag (the /W= field of coarse_tune_key / mrhs_tune_key).
+  /// Version-3 files (precision-tagged keys, no width) and version-2 files
+  /// (neither) are still accepted: their entries merge (a six-token L line
+  /// is an auto width) but can no longer be hit by the tagged lookups, so
+  /// a stale cache re-tunes instead of silently replaying a config tuned
+  /// for a different element precision or pack width.  Entries whose
+  /// rhs_block would split a lane pack across dispatch items are rejected
+  /// outright.
   [[nodiscard]] bool save(const std::string& path) const QMG_EXCLUDES(mutex_);
   [[nodiscard]] bool load(const std::string& path) QMG_EXCLUDES(mutex_);
 

@@ -25,9 +25,9 @@
 //               policy.simd_width independent lanes per step with the SoA
 //               packs of linalg/simd.h (rhs lanes for batched kernels,
 //               chunk lanes for reductions).  Generic bodies run exactly
-//               like Serial.  Composes with Threaded: a Threaded policy
-//               with simd_width > 1 partitions the pack-group loop over
-//               the pool.
+//               like Serial.  Composes with Threaded: rhs-lane kernels run
+//               native-width lanes under Threaded by default
+//               (rhs_lane_width), the pool partitioning pack groups.
 //
 // parallel_reduce computes the same chunk decomposition under every
 // backend, so a reduction's value depends only on (n, body) — never on the
@@ -68,18 +68,21 @@ struct LaunchPolicy {
   /// re-read per rhs).  Tuned jointly with the kernel decomposition.
   int rhs_block = 0;
   /// Lane width width-aware kernels vectorize with (linalg/simd.h packs).
-  /// Read only under Backend::Simd and Backend::Threaded (see
-  /// effective_simd_width); 0 = auto (the build's native width under Simd,
-  /// scalar under Threaded).  Tuned jointly with backend/grain/rhs_block.
+  /// Read only under Backend::Simd and Backend::Threaded; 0 = auto: the
+  /// native lanes of the kernel's precision for rhs-lane kernels under
+  /// either backend (rhs_lane_width), and for single-rhs kernels the
+  /// build's native width under Simd, scalar under Threaded
+  /// (effective_simd_width).  Tuned jointly with backend/grain/rhs_block.
   int simd_width = 0;
 };
 
-/// The lane width a policy requests from width-aware kernels.  Serial and
+/// The lane width a policy requests from the single-rhs width-aware
+/// kernels (site-lane streaming BLAS, chunk-lane reductions).  Serial and
 /// SimtModel are always scalar (Serial is the reference numerics; the SIMT
 /// model's lanes are the simulated CUDA threads).  Backend::Simd defaults
 /// to the build's native width; Threaded stays scalar unless a width was
-/// set explicitly (so pre-existing Threaded policies behave exactly as
-/// before).
+/// set explicitly, because site lanes do not pay on a single field
+/// (BENCH_simd: single-rhs norm2 runs at 0.76x at width 2).
 inline int effective_simd_width(const LaunchPolicy& p) {
   switch (p.backend) {
     case Backend::Simd:
@@ -91,6 +94,21 @@ inline int effective_simd_width(const LaunchPolicy& p) {
     default:
       return 1;
   }
+}
+
+/// The lane width of an rhs-lane kernel — the batched Wilson-clover
+/// kernels, the block transfers, the coarse row kernel and the block BLAS —
+/// over nrhs right-hand sides of precision T.  An auto width (0) resolves
+/// to native lanes (simd::native_width<T>: a full register of T) under
+/// both Threaded and Simd; an explicit width is honoured; Serial and
+/// SimtModel stay scalar.  The result degrades to the widest pack nrhs
+/// fills.  Lanes mirror the scalar expression tree, so the width changes
+/// speed, never per-rhs bits.
+template <typename T>
+inline int rhs_lane_width(const LaunchPolicy& p, long nrhs) {
+  if (p.backend != Backend::Threaded && p.backend != Backend::Simd) return 1;
+  return simd::width_for(
+      p.simd_width <= 0 ? simd::native_width<T> : p.simd_width, nrhs);
 }
 
 /// A 2D (site x rhs) launch must never split a lane pack across dispatch

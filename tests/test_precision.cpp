@@ -607,13 +607,14 @@ TEST(TuneCachePrecision, RoundTripKeepsPrecisionKeys) {
   cache.clear();
   const CoarseKernelConfig cfg{Strategy::StencilDir, 9, 1, 2};
   cache.store(coarse_tune_key(256, 8, "df"), cfg);
-  const std::string path = ::testing::TempDir() + "/qmg_tune_cache_v5.txt";
+  const std::string path = ::testing::TempDir() + "/qmg_tune_cache_v6.txt";
   ASSERT_TRUE(cache.save(path));
-  // The file is v5 now (P lines carry tuned integer parameters).
+  // The file is v6 now (an auto lane width under Threaded means native
+  // rhs lanes).
   std::ifstream in(path);
   std::string header;
   std::getline(in, header);
-  EXPECT_EQ(header, "qmg-tune-cache 5");
+  EXPECT_EQ(header, "qmg-tune-cache 6");
   cache.clear();
   ASSERT_TRUE(cache.load(path));
   CoarseKernelConfig got;
@@ -636,11 +637,12 @@ TEST(TuneCachePrecision, V3FilesLoadButDoNotAliasWidthTaggedKeys) {
     out << "L\tcoarse_apply/V=256/N=8/P=df/T=4\t1\t64\t1\t0\n";
   }
   ASSERT_TRUE(cache.load(path));
-  // The entries merge verbatim (simd_width defaults to auto)...
+  // The entries merge, a pre-v6 Threaded entry with the explicit scalar
+  // width its auto width meant when it was written...
   LaunchPolicy lp;
   ASSERT_TRUE(cache.lookup_launch("coarse_apply/V=256/N=8/P=df/T=4", &lp));
   EXPECT_EQ(lp.backend, Backend::Threaded);
-  EXPECT_EQ(lp.simd_width, 0);
+  EXPECT_EQ(lp.simd_width, 1);
   // ...but a width-tagged lookup misses, so a kernel tuned under a
   // different pack width re-tunes rather than replaying a stale policy.
   CoarseKernelConfig got;

@@ -6,12 +6,15 @@
 // transfers — must be BIT-identical to the Serial backend at widths
 // 1/2/4/8, across thread counts when lanes compose with the Threaded
 // pool, and at rhs counts that exercise full packs, scalar tails and the
-// width degradation (nrhs < width).  Plus the width-aware launch-policy
-// plumbing: effective_simd_width, pack-aligned rhs-blocking, and the
-// TuneCache v4 round trip with width-tagged keys.
+// width degradation (nrhs < width).  The float kernels the hierarchy runs
+// are checked again on the default policy (Threaded, auto width: native
+// float lanes).  Plus the width-aware launch-policy plumbing:
+// effective_simd_width, rhs_lane_width, pack-aligned rhs-blocking, and the
+// TuneCache round trip with width-tagged keys.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -176,6 +179,51 @@ TEST(SimdPack, EffectiveWidthAndPackAlignedBlocking) {
   EXPECT_EQ(align_rhs_block(q, 4).rhs_block, 0);
   q.rhs_block = 5;
   EXPECT_EQ(align_rhs_block(q, 1).rhs_block, 5);
+}
+
+TEST(SimdPack, RhsLaneWidthRule) {
+  const LaunchPolicy dflt{};  // Threaded, auto width: what every solve runs
+  const int dw = rhs_lane_width<double>(dflt, 64);
+  const int fw = rhs_lane_width<float>(dflt, 64);
+  EXPECT_EQ(dw, simd::native_width<double>);
+  EXPECT_EQ(fw, simd::native_width<float>);
+  EXPECT_EQ(dw, simd::kMaxSimdWidth);  // the cap counts double lanes
+  if (simd::kMaxSimdWidth == 1) {
+    // Scalar build (QMG_MAX_SIMD_WIDTH=1): no lanes at any precision.
+    EXPECT_EQ(fw, 1);
+  } else {
+    // Float fills the same register with twice the double lanes.
+    EXPECT_EQ(fw, std::min(2 * dw, simd::kSimdWidthLimit));
+  }
+
+  LaunchPolicy p;
+  p.backend = Backend::Simd;
+  EXPECT_EQ(rhs_lane_width<float>(p, 64), fw);  // same rule under Simd
+  for (const Backend b : {Backend::Threaded, Backend::Simd}) {
+    // An explicit width is honoured, also past the native one...
+    p.backend = b;
+    p.simd_width = 1;
+    EXPECT_EQ(rhs_lane_width<float>(p, 12), 1);
+    p.simd_width = 8;
+    EXPECT_EQ(rhs_lane_width<double>(p, 12), 8);
+    // ...and degrades to the widest pack nrhs fills.
+    EXPECT_EQ(rhs_lane_width<double>(p, 5), 4);
+    EXPECT_EQ(rhs_lane_width<double>(p, 3), 2);
+    EXPECT_EQ(rhs_lane_width<float>(p, 1), 1);
+  }
+  EXPECT_EQ(rhs_lane_width<float>(dflt, 1), 1);
+  EXPECT_EQ(rhs_lane_width<float>(dflt, 3), std::min(fw, 2));
+  // Serial is the reference numerics and SimtModel's lanes are simulated
+  // threads: both stay scalar whatever width is asked for.
+  for (const Backend b : {Backend::Serial, Backend::SimtModel}) {
+    p.backend = b;
+    p.simd_width = 0;
+    EXPECT_EQ(rhs_lane_width<float>(p, 12), 1);
+    p.simd_width = 8;
+    EXPECT_EQ(rhs_lane_width<float>(p, 12), 1);
+  }
+  // Single-rhs ops keep their own rule: Threaded auto stays scalar.
+  EXPECT_EQ(effective_simd_width(dflt), 1);
 }
 
 TEST(SimdPack, FieldStorageIsAligned) {
@@ -576,6 +624,243 @@ TEST_F(SimdEquivalenceTest, BlockTransfersSimdMatchesSerial) {
   }
 }
 
+// --- float kernels on the default policy -------------------------------------
+
+/// The hierarchy runs float, and every solve launches on LaunchPolicy{}
+/// (Threaded, auto width), which gives the batched kernels native float
+/// lanes.  Each must equal Serial bitwise per rhs at 1/2/4 threads and rhs
+/// counts with full packs, a scalar tail and no pack at all.  The lattice
+/// is 4^3x8 so the host BLAS threshold (1024 elements per worker) engages
+/// the pool at 4 threads.
+class SimdFloatDefaultTest : public SimdDispatchTest {
+ protected:
+  static constexpr int kFloatRhsCounts[] = {1, 4, 6, 12};
+
+  static void SetUpTestSuite() {
+    geom_ = make_geometry(Coord{4, 4, 4, 8});
+    gauge_ = new GaugeField<float>(disordered_gauge<float>(geom_, 0.4, 31));
+    clover_ = new CloverField<float>(
+        build_clover_with_inverse(*gauge_, 1.0f, 0.1f));
+    op_ = new WilsonCloverOp<float>(
+        *gauge_, WilsonParams<float>{.mass = 0.1f, .csw = 1.0f}, clover_);
+    schur_ = new SchurWilsonOp<float>(*op_);
+    NullSpaceParams ns;
+    ns.nvec = 4;
+    ns.iters = 12;
+    auto vecs = generate_null_vectors(*op_, ns);
+    auto map = std::make_shared<const BlockMap>(geom_, Coord{2, 2, 2, 2});
+    transfer_ = new Transfer<float>(map, 4, 3, 4);
+    transfer_->set_null_vectors(vecs);
+    const WilsonStencilView<float> view(*op_);
+    coarse_ = new CoarseDirac<float>(build_coarse_operator(view, *transfer_));
+  }
+
+  static void TearDownTestSuite() {
+    delete coarse_;
+    delete transfer_;
+    delete schur_;
+    delete op_;
+    delete clover_;
+    delete gauge_;
+  }
+
+  static void use_default(int threads) {
+    ThreadPool::instance().resize(threads);
+    set_default_policy(LaunchPolicy{});
+  }
+
+  static BlockSpinor<float> random_block(const ColorSpinorField<float>& proto,
+                                         int nrhs, std::uint64_t seed) {
+    std::vector<ColorSpinorField<float>> fields;
+    for (int k = 0; k < nrhs; ++k) {
+      fields.push_back(proto.similar());
+      fields.back().gaussian(seed + k);
+    }
+    return pack_block(fields);
+  }
+
+  static ::testing::AssertionResult blocks_equal(const BlockSpinor<float>& a,
+                                                 const BlockSpinor<float>& b) {
+    for (int k = 0; k < a.nrhs(); ++k) {
+      auto r = bits_equal(a.extract_rhs(k), b.extract_rhs(k));
+      if (!r) return r << " (rhs " << k << ")";
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  static GeometryPtr geom_;
+  static GaugeField<float>* gauge_;
+  static CloverField<float>* clover_;
+  static WilsonCloverOp<float>* op_;
+  static SchurWilsonOp<float>* schur_;
+  static Transfer<float>* transfer_;
+  static CoarseDirac<float>* coarse_;
+};
+
+GeometryPtr SimdFloatDefaultTest::geom_;
+GaugeField<float>* SimdFloatDefaultTest::gauge_ = nullptr;
+CloverField<float>* SimdFloatDefaultTest::clover_ = nullptr;
+WilsonCloverOp<float>* SimdFloatDefaultTest::op_ = nullptr;
+SchurWilsonOp<float>* SimdFloatDefaultTest::schur_ = nullptr;
+Transfer<float>* SimdFloatDefaultTest::transfer_ = nullptr;
+CoarseDirac<float>* SimdFloatDefaultTest::coarse_ = nullptr;
+
+TEST_F(SimdFloatDefaultTest, WilsonAndSchurBlocksMatchSerial) {
+  for (const int nrhs : kFloatRhsCounts) {
+    const auto full = random_block(op_->create_vector(), nrhs, 900);
+    const auto even = random_block(schur_->create_vector(), nrhs, 950);
+
+    use_serial();
+    auto ref = full.similar();
+    op_->apply_block(ref, full);
+    auto ref_s = even.similar();
+    schur_->apply_block(ref_s, even);
+    auto ref_hat = even.similar();
+    schur_->prepare_block(ref_hat, full);
+    auto ref_x = full.similar();
+    schur_->reconstruct_block(ref_x, even, full);
+    // The Serial reference is itself the single-rhs operator, rhs by rhs.
+    for (int k = 0; k < nrhs; ++k) {
+      const auto fk = full.extract_rhs(k);
+      const auto ek = even.extract_rhs(k);
+      auto f = fk.similar();
+      op_->apply(f, fk);
+      EXPECT_TRUE(bits_equal(f, ref.extract_rhs(k))) << "apply rhs " << k;
+      auto e = ek.similar();
+      schur_->apply(e, ek);
+      EXPECT_TRUE(bits_equal(e, ref_s.extract_rhs(k))) << "schur rhs " << k;
+      schur_->prepare(e, fk);
+      EXPECT_TRUE(bits_equal(e, ref_hat.extract_rhs(k)))
+          << "prepare rhs " << k;
+      schur_->reconstruct(f, ek, fk);
+      EXPECT_TRUE(bits_equal(f, ref_x.extract_rhs(k)))
+          << "reconstruct rhs " << k;
+    }
+
+    for (const int t : kThreadCounts) {
+      use_default(t);
+      auto out = full.similar();
+      op_->apply_block(out, full);
+      EXPECT_TRUE(blocks_equal(out, ref)) << "apply nrhs=" << nrhs
+                                          << " threads=" << t;
+      auto out_s = even.similar();
+      schur_->apply_block(out_s, even);
+      EXPECT_TRUE(blocks_equal(out_s, ref_s)) << "schur nrhs=" << nrhs
+                                              << " threads=" << t;
+      auto out_hat = even.similar();
+      schur_->prepare_block(out_hat, full);
+      EXPECT_TRUE(blocks_equal(out_hat, ref_hat))
+          << "prepare nrhs=" << nrhs << " threads=" << t;
+      auto out_x = full.similar();
+      schur_->reconstruct_block(out_x, even, full);
+      EXPECT_TRUE(blocks_equal(out_x, ref_x))
+          << "reconstruct nrhs=" << nrhs << " threads=" << t;
+    }
+  }
+}
+
+TEST_F(SimdFloatDefaultTest, TransfersMatchSerial) {
+  for (const int nrhs : kFloatRhsCounts) {
+    const auto fine_in = random_block(op_->create_vector(), nrhs, 1000);
+    const auto coarse_in = random_block(coarse_->create_vector(), nrhs, 1100);
+
+    use_serial();
+    auto ref_c = coarse_in.similar();
+    transfer_->restrict_to_coarse(ref_c, fine_in);
+    auto ref_f = fine_in.similar();
+    transfer_->prolongate(ref_f, coarse_in);
+    for (int k = 0; k < nrhs; ++k) {
+      auto c = coarse_in.extract_rhs(k);
+      transfer_->restrict_to_coarse(c, fine_in.extract_rhs(k));
+      EXPECT_TRUE(bits_equal(c, ref_c.extract_rhs(k))) << "restrict rhs " << k;
+      auto f = fine_in.extract_rhs(k);
+      transfer_->prolongate(f, coarse_in.extract_rhs(k));
+      EXPECT_TRUE(bits_equal(f, ref_f.extract_rhs(k))) << "prolong rhs " << k;
+    }
+
+    for (const int t : kThreadCounts) {
+      use_default(t);
+      auto got_c = coarse_in.similar();
+      transfer_->restrict_to_coarse(got_c, fine_in);
+      EXPECT_TRUE(blocks_equal(got_c, ref_c)) << "restrict nrhs=" << nrhs
+                                              << " threads=" << t;
+      auto got_f = fine_in.similar();
+      transfer_->prolongate(got_f, coarse_in);
+      EXPECT_TRUE(blocks_equal(got_f, ref_f)) << "prolong nrhs=" << nrhs
+                                              << " threads=" << t;
+    }
+  }
+}
+
+TEST_F(SimdFloatDefaultTest, BlockBlasMatchesSerial) {
+  for (const int nrhs : kFloatRhsCounts) {
+    const auto x = random_block(op_->create_vector(), nrhs, 1200);
+    const auto y0 = random_block(op_->create_vector(), nrhs, 1300);
+    std::vector<float> a(nrhs), sc(nrhs);
+    std::vector<Complex<float>> c(nrhs);
+    blas::RhsMask mask(nrhs, 1);
+    for (int k = 0; k < nrhs; ++k) {
+      a[k] = 0.1f * static_cast<float>(k + 1);
+      sc[k] = 1.0f - 0.05f * static_cast<float>(k);
+      c[k] = Complex<float>(0.2f * static_cast<float>(k), -0.3f);
+      if (k % 3 == 2) mask[k] = 0;
+    }
+    auto chain = [&](BlockSpinor<float>& y) {
+      blas::block_copy(y, y0);
+      blas::block_axpy(a, x, y, &mask);
+      blas::block_caxpy(c, x, y, &mask);
+      blas::block_xpay(x, a, y, &mask);
+      blas::block_scale(sc, y, &mask);
+    };
+
+    use_serial();
+    auto ref = y0.similar();
+    chain(ref);
+    const auto ref_n2 = blas::block_norm2(ref);
+    const auto ref_dot = blas::block_cdot(x, ref);
+
+    for (const int t : kThreadCounts) {
+      use_default(t);
+      auto got = y0.similar();
+      chain(got);
+      EXPECT_TRUE(blocks_equal(got, ref)) << "nrhs=" << nrhs
+                                          << " threads=" << t;
+      const auto n2 = blas::block_norm2(got);
+      const auto dot = blas::block_cdot(x, got);
+      for (int k = 0; k < nrhs; ++k) {
+        EXPECT_EQ(n2[k], ref_n2[k]) << "nrhs=" << nrhs << " threads=" << t;
+        EXPECT_EQ(dot[k].re, ref_dot[k].re) << "nrhs=" << nrhs;
+        EXPECT_EQ(dot[k].im, ref_dot[k].im) << "nrhs=" << nrhs;
+      }
+    }
+  }
+}
+
+TEST_F(SimdFloatDefaultTest, CoarseApplyAtPinnedConfigMatchesSerial) {
+  const CoarseKernelConfig cfg{Strategy::ColorSpin, 1, 1, 2};
+  LaunchPolicy serial;
+  serial.backend = Backend::Serial;
+  for (const int nrhs : kFloatRhsCounts) {
+    const auto in = random_block(coarse_->create_vector(), nrhs, 1400);
+    use_serial();
+    auto ref = in.similar();
+    coarse_->apply_block_with_config(ref, in, cfg, serial);
+    for (int k = 0; k < nrhs; ++k) {
+      const auto xk = in.extract_rhs(k);
+      auto yk = xk.similar();
+      coarse_->apply_with_config(yk, xk, cfg, serial);
+      EXPECT_TRUE(bits_equal(yk, ref.extract_rhs(k))) << "rhs " << k;
+    }
+    for (const int t : kThreadCounts) {
+      use_default(t);
+      auto out = in.similar();
+      coarse_->apply_block_with_config(out, in, cfg, LaunchPolicy{});
+      EXPECT_TRUE(blocks_equal(out, ref)) << "nrhs=" << nrhs
+                                          << " threads=" << t;
+    }
+  }
+}
+
 // --- tune-cache width plumbing ----------------------------------------------
 
 TEST(SimdTuneCache, WidthTaggedKeysRoundTrip) {
@@ -622,17 +907,61 @@ TEST(SimdTuneCache, RejectsPackSplittingRhsBlock) {
   std::remove(path.c_str());
 }
 
-TEST(SimdTuneCache, CandidatesNeverSplitAPack) {
-  for (const int nrhs : {1, 3, 4, 12}) {
-    for (const auto& p : TuneCache::launch_candidates_2d(nrhs)) {
-      const int w = effective_simd_width(p);
-      if (w > 1 && p.rhs_block > 0) {
-        EXPECT_EQ(p.rhs_block % w, 0)
-            << "nrhs=" << nrhs << " backend=" << to_string(p.backend)
-            << " rhs_block=" << p.rhs_block << " width=" << w;
-      }
-    }
+TEST(SimdTuneCache, LegacyAutoWidthsLoadAsTheWidthTheyMeant) {
+  auto& cache = TuneCache::instance();
+  cache.clear();
+  const std::string path = ::testing::TempDir() + "/qmg_tune_cache_v5w.txt";
+  {
+    // Before v6 an auto width meant scalar under Threaded and the
+    // double-lane cap under Simd; the entries must replay exactly that.
+    std::ofstream out(path, std::ios::trunc);
+    out << "qmg-tune-cache 5\n";
+    out << "L\tthreaded_kernel\t1\t1\t128\t1\t0\n";
+    out << "L\tsimd_kernel\t3\t1\t128\t0\t0\n";
   }
+  ASSERT_TRUE(cache.load(path));
+  LaunchPolicy got;
+  ASSERT_TRUE(cache.lookup_launch("threaded_kernel", &got));
+  EXPECT_EQ(got.simd_width, 1);
+  EXPECT_EQ(rhs_lane_width<float>(got, 12), 1);
+  ASSERT_TRUE(cache.lookup_launch("simd_kernel", &got));
+  EXPECT_EQ(got.simd_width, simd::kMaxSimdWidth);
+
+  // A v6 file keeps the auto width: native rhs lanes.
+  LaunchPolicy lanes;
+  lanes.backend = Backend::Threaded;
+  cache.store_launch("threaded_kernel", lanes);
+  ASSERT_TRUE(cache.save(path));
+  cache.clear();
+  ASSERT_TRUE(cache.load(path));
+  ASSERT_TRUE(cache.lookup_launch("threaded_kernel", &got));
+  EXPECT_EQ(got.simd_width, 0);
+  EXPECT_EQ(rhs_lane_width<float>(got, 12), simd::native_width<float>);
+  cache.clear();
+  std::remove(path.c_str());
+}
+
+TEST(SimdTuneCache, CandidatesNeverSplitAPack) {
+  const int saved_threads = ThreadPool::instance().num_threads();
+  ThreadPool::instance().resize(2);
+  for (const int nrhs : {1, 3, 4, 12}) {
+    bool scalar_threaded = false;
+    for (const auto& p : TuneCache::launch_candidates_2d(nrhs)) {
+      // The auto widths resolve per precision; float packs are the widest.
+      for (const int w : {rhs_lane_width<float>(p, nrhs),
+                          rhs_lane_width<double>(p, nrhs)}) {
+        if (w > 1 && p.rhs_block > 0) {
+          EXPECT_EQ(p.rhs_block % w, 0)
+              << "nrhs=" << nrhs << " backend=" << to_string(p.backend)
+              << " rhs_block=" << p.rhs_block << " width=" << w;
+        }
+      }
+      scalar_threaded |= p.backend == Backend::Threaded && p.simd_width == 1;
+    }
+    // The sweep keeps the pool without lanes as a candidate.
+    EXPECT_TRUE(scalar_threaded) << "nrhs=" << nrhs;
+  }
+  ThreadPool::instance().resize(saved_threads);
   // The native-width Simd candidate is explored whenever the build has
   // vector lanes at all.
   if (simd::kMaxSimdWidth > 1) {
