@@ -105,10 +105,13 @@ void lanes_for_each(long n, const LaunchPolicy& policy, RangeBody&& range_body,
   for (long i = groups * W; i < n; ++i) scalar_body(i);
 }
 
-/// Chunk-group driver for the width-aware reductions: iterates groups of W
-/// consecutive reduction chunks with the SAME threading decision as
-/// parallel_reduce (on n, the element count) so Threaded engages for the
-/// same problem sizes it always did.
+/// Chunk-group loop of the reductions: iterates `ngroups` groups of
+/// reduction chunks (W consecutive chunks for the single-rhs width paths,
+/// one chunk for the block reductions) with the threading decision made on
+/// n, the element count per rhs.  That is parallel_reduce's decision and
+/// the one the block updates make (block_runs_for), so Threaded engages on
+/// the problem size, never on the <= 64 chunks a grain >= 1024 would
+/// always keep serial.  SimtModel still records its launch.
 template <typename Fn>
 void chunk_group_for(long n, long ngroups, const LaunchPolicy& policy,
                      Fn&& fn) {
@@ -124,6 +127,10 @@ void chunk_group_for(long n, long ngroups, const LaunchPolicy& policy,
       });
       return;
     }
+  }
+  if (policy.backend == Backend::SimtModel) {
+    parallel_for(ngroups, policy, fn);
+    return;
   }
   for (long g = 0; g < ngroups; ++g) fn(g);
 }
@@ -447,7 +454,7 @@ std::vector<V> block_reduce(long n, int nrhs, const LaunchPolicy& policy,
   // One dispatch item per chunk; each item accumulates all rhs so a chunk's
   // per-rhs sums are computed in the same ascending-i order as the
   // single-field chunk sum.
-  parallel_for(nchunks, policy, [&](long c) {
+  chunk_group_for(n, nchunks, policy, [&](long c) {
     const long begin = n * c / nchunks;
     const long end = n * (c + 1) / nchunks;
     std::vector<V> acc(static_cast<size_t>(nrhs), V{});
@@ -524,7 +531,7 @@ std::vector<double> block_norm2_w(const LaunchPolicy& policy, int w,
   simd::dispatch_width(w, [&](auto wc) {
     constexpr int W = decltype(wc)::value;
     const int ngroups = nrhs / W;
-    parallel_for(nchunks, policy, [&](long c) {
+    chunk_group_for(n, nchunks, policy, [&](long c) {
       const long begin = n * c / nchunks;
       const long end = n * (c + 1) / nchunks;
       double stack_acc[kStackRhs];
@@ -577,7 +584,7 @@ std::vector<complexd> block_cdot_w(const LaunchPolicy& policy, int w,
   simd::dispatch_width(w, [&](auto wc) {
     constexpr int W = decltype(wc)::value;
     const int ngroups = nrhs / W;
-    parallel_for(nchunks, policy, [&](long c) {
+    chunk_group_for(n, nchunks, policy, [&](long c) {
       const long begin = n * c / nchunks;
       const long end = n * (c + 1) / nchunks;
       complexd stack_acc[kStackRhs];

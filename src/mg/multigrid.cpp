@@ -54,15 +54,17 @@ void Multigrid<T>::rebuild(bool reuse) {
     // drift, so a short relaxation re-adapts them (the amortization the
     // hierarchy lifecycle exists for).
     //
-    // Coarse levels (l >= 1) relax, refresh and refine all their candidates
-    // as one nvec-wide block through the batched kernels, where the coarse
-    // apply_block at nrhs 12 costs about 0.4x of apply() per rhs.  The fine
-    // level keeps one single-rhs stream per candidate: its Wilson-clover
-    // apply_block costs 1.1-1.2x of apply() per rhs at 1-3 threads
-    // (ARCHITECTURE.md, "Batched coarse-level setup").  Per candidate both
-    // executions are bit-identical at a pinned kernel config
-    // (mg/nullspace.h).
-    const bool batched = l > 0;
+    // Every level relaxes, refreshes and refines its candidates in blocks
+    // through the batched kernels (mg/nullspace.h).  A coarse level (l >= 1)
+    // takes all nvec at once: its apply_block at nrhs 12 costs about 0.4x of
+    // apply() per rhs.  The fine level takes one native lane pack of T
+    // (4 floats on the baseline ISA, 8 on AVX2), where its Wilson-clover
+    // apply_block already costs 0.37-0.40x of apply() per rhs; wider blocks
+    // run no faster per rhs but hold more fine-grid fields, and a partial
+    // pack runs near scalar speed (ARCHITECTURE.md, "Batched setup").  Per
+    // candidate every group size is bit-identical at a pinned kernel config.
+    const int group =
+        l == 0 ? rhs_lane_width<T>(default_policy(), lvl.nvec) : lvl.nvec;
     std::vector<Field> null_vecs;
     const bool have_prev =
         reuse && static_cast<int>(candidates_[l].size()) == lvl.nvec &&
@@ -72,14 +74,14 @@ void Multigrid<T>::rebuild(bool reuse) {
       if (have_prev) {
         null_vecs = candidates_[l];
         relax_null_vectors(*ops_[l], null_vecs, config_.refresh_null_iters,
-                           lvl.smoother_omega, batched);
+                           lvl.smoother_omega, group);
       } else {
         NullSpaceParams ns_params;
         ns_params.nvec = lvl.nvec;
         ns_params.iters = lvl.null_iters;
         ns_params.omega = lvl.smoother_omega;
         ns_params.seed = config_.seed + 10000 * (l + 1);
-        null_vecs = generate_null_vectors(*ops_[l], ns_params, batched);
+        null_vecs = generate_null_vectors(*ops_[l], ns_params, group);
       }
       const double dt = phase.seconds();
       setup_timings_.null_gen_seconds += dt;
@@ -126,7 +128,7 @@ void Multigrid<T>::rebuild(bool reuse) {
       Timer phase;
       refine_null_vectors(*ops_[l], *transfer, *coarse, null_vecs,
                           refine_iters, std::max(lvl.post_smooth, 2),
-                          lvl.smoother_omega, batched);
+                          lvl.smoother_omega, group);
       galerkin();
       const double dt = phase.seconds();
       setup_timings_.adaptive_seconds += dt;

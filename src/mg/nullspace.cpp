@@ -1,5 +1,6 @@
 #include "mg/nullspace.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "fields/blas.h"
@@ -88,16 +89,51 @@ void normalize(BlockSpinor<T>& x) {
   blas::block_scale(inv, x, &nonzero);
 }
 
+/// Run `fn` on `vecs` in blocks of `group` consecutive candidates, the last
+/// block taking the remainder.  Each field is released as soon as it is
+/// packed and re-created from its block after the last group, so a
+/// candidate lives in its field or in a block, never both, and the
+/// temporaries `fn` allocates are one group's.  Re-creating a group's fields
+/// right after its `fn` instead interleaves long-lived fields with the next
+/// group's temporaries; on qmg-bench's stream workload that heap
+/// fragmentation raised peak RSS by 3-4% over the single-rhs setup, against
+/// about 2% for this order.
+template <typename T, typename Fn>
+void for_each_group(std::vector<ColorSpinorField<T>>& vecs, int group,
+                    Fn&& fn) {
+  const size_t n = vecs.size();
+  const size_t g = static_cast<size_t>(group);
+  std::vector<BlockSpinor<T>> blocks;
+  blocks.reserve((n + g - 1) / g);
+  for (size_t b = 0; b < n; b += g) {
+    const size_t e = std::min(n, b + g);
+    const ColorSpinorField<T>& f0 = vecs[b];
+    BlockSpinor<T>& block =
+        blocks.emplace_back(f0.geometry(), f0.nspin(), f0.ncolor(),
+                            static_cast<int>(e - b), f0.subset());
+    for (size_t k = b; k < e; ++k) {
+      block.insert_rhs(vecs[k], static_cast<int>(k - b));
+      vecs[k] = ColorSpinorField<T>();
+    }
+    fn(block);
+  }
+  size_t k = 0;
+  for (BlockSpinor<T>& block : blocks) {
+    for (int j = 0; j < block.nrhs(); ++j) vecs[k++] = block.extract_rhs(j);
+    block = BlockSpinor<T>();
+  }
+}
+
 template <typename T>
 void relax_and_normalize(const LinearOperator<T>& op,
                          std::vector<ColorSpinorField<T>>& vecs, int iters,
-                         T omega, bool batched) {
+                         T omega, int group) {
   if (vecs.empty()) return;
-  if (batched) {
-    BlockSpinor<T> x = pack_block(vecs);
-    mr_relax_homogeneous(op, x, iters, omega);
-    normalize(x);
-    unpack_block(vecs, x);
+  if (group > 1) {
+    for_each_group(vecs, group, [&](BlockSpinor<T>& x) {
+      mr_relax_homogeneous(op, x, iters, omega);
+      normalize(x);
+    });
     return;
   }
   auto r = op.create_vector();
@@ -145,8 +181,8 @@ void refine_each(const LinearOperator<T>& op, const Transfer<T>& transfer,
   }
 }
 
-/// refine_each as one block two-grid sweep over all candidates; the blocks
-/// are allocated once and reused across sweeps.
+/// refine_each as one block two-grid sweep over a block of candidates; the
+/// blocks are allocated once and reused across sweeps.
 template <typename T>
 void refine_batched(const LinearOperator<T>& op, const Transfer<T>& transfer,
                     const SchurCoarseOp<T>& schur, BlockSpinor<T>& v,
@@ -179,8 +215,7 @@ void refine_batched(const LinearOperator<T>& op, const Transfer<T>& transfer,
 
 template <typename T>
 std::vector<ColorSpinorField<T>> generate_null_vectors(
-    const LinearOperator<T>& op, const NullSpaceParams& params,
-    bool batched) {
+    const LinearOperator<T>& op, const NullSpaceParams& params, int group) {
   std::vector<ColorSpinorField<T>> vecs;
   vecs.reserve(params.nvec);
   for (int k = 0; k < params.nvec; ++k) {
@@ -188,16 +223,16 @@ std::vector<ColorSpinorField<T>> generate_null_vectors(
     vecs.back().gaussian(params.seed + 1000 * static_cast<std::uint64_t>(k));
   }
   relax_and_normalize(op, vecs, params.iters, static_cast<T>(params.omega),
-                      batched);
+                      group);
   return vecs;
 }
 
 template <typename T>
 void relax_null_vectors(const LinearOperator<T>& op,
                         std::vector<ColorSpinorField<T>>& vecs, int iters,
-                        double omega, bool batched) {
+                        double omega, int group) {
   if (iters <= 0) return;
-  relax_and_normalize(op, vecs, iters, static_cast<T>(omega), batched);
+  relax_and_normalize(op, vecs, iters, static_cast<T>(omega), group);
 }
 
 template <typename T>
@@ -205,39 +240,38 @@ void refine_null_vectors(const LinearOperator<T>& op,
                          const Transfer<T>& transfer,
                          const CoarseDirac<T>& coarse,
                          std::vector<ColorSpinorField<T>>& vecs, int iters,
-                         int smooth_iters, double omega, bool batched) {
+                         int smooth_iters, double omega, int group) {
   if (vecs.empty() || iters <= 0) return;
   const SchurCoarseOp<T> schur(coarse);
   SolverParams smooth;
   smooth.tol = 0;  // fixed iteration count (smoother mode)
   smooth.max_iter = smooth_iters;
   smooth.omega = omega;
-  if (batched) {
-    BlockSpinor<T> v = pack_block(vecs);
-    refine_batched(op, transfer, schur, v, iters, smooth);
-    unpack_block(vecs, v);
-  } else {
+  if (group > 1)
+    for_each_group(vecs, group, [&](BlockSpinor<T>& v) {
+      refine_batched(op, transfer, schur, v, iters, smooth);
+    });
+  else
     refine_each(op, transfer, schur, vecs, iters, smooth);
-  }
 }
 
 template std::vector<ColorSpinorField<double>> generate_null_vectors<double>(
-    const LinearOperator<double>&, const NullSpaceParams&, bool);
+    const LinearOperator<double>&, const NullSpaceParams&, int);
 template std::vector<ColorSpinorField<float>> generate_null_vectors<float>(
-    const LinearOperator<float>&, const NullSpaceParams&, bool);
+    const LinearOperator<float>&, const NullSpaceParams&, int);
 template void relax_null_vectors<double>(const LinearOperator<double>&,
                                          std::vector<ColorSpinorField<double>>&,
-                                         int, double, bool);
+                                         int, double, int);
 template void relax_null_vectors<float>(const LinearOperator<float>&,
                                         std::vector<ColorSpinorField<float>>&,
-                                        int, double, bool);
+                                        int, double, int);
 template void refine_null_vectors<double>(
     const LinearOperator<double>&, const Transfer<double>&,
     const CoarseDirac<double>&, std::vector<ColorSpinorField<double>>&, int,
-    int, double, bool);
+    int, double, int);
 template void refine_null_vectors<float>(
     const LinearOperator<float>&, const Transfer<float>&,
     const CoarseDirac<float>&, std::vector<ColorSpinorField<float>>&, int,
-    int, double, bool);
+    int, double, int);
 
 }  // namespace qmg

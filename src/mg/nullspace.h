@@ -5,15 +5,18 @@
 // M.  These candidate vectors become the prolongator columns, and adaptive
 // refinement then drives them through the current two-grid method.
 //
-// Every routine runs in one of two executions over the same per-candidate
-// arithmetic.  Per vector, each candidate is a single-rhs stream through
-// apply().  Batched, all candidates advance as one nvec-wide BlockSpinor
-// through apply_block, the block BLAS and the masked block solvers, which
-// gives the latency-bound coarse grids an rhs axis of work (the multi-rhs
-// strategy of paper section 9).  The batched kernels and solvers are
-// bit-identical per rhs to their single-rhs forms at a fixed kernel config,
-// so each candidate comes out bit-identical to its per-vector result
-// whenever the operators run pinned configs (set_kernel_config).
+// Every routine runs its candidates in blocks of `group` consecutive
+// candidates (the last block takes the remainder): each block advances as
+// one BlockSpinor through apply_block, the block BLAS and the masked block
+// solvers, which gives setup an rhs axis of work (the multi-rhs strategy of
+// paper section 9).  A group of one is a single-rhs stream per candidate
+// through apply().  A block's candidates live either in their fields or in
+// the block, never both, so the working set beyond the candidates is one
+// group's blocks.  The batched kernels and solvers are bit-identical per
+// rhs to their single-rhs forms at a fixed kernel config, so each candidate
+// comes out bit-identical under every group size whenever the operators run
+// pinned configs (set_kernel_config).  Multigrid::rebuild picks the group
+// per level (mg/multigrid.cpp).
 
 #include <cstdint>
 #include <vector>
@@ -34,13 +37,13 @@ struct NullSpaceParams {
 
 /// Generate `params.nvec` near-null vectors of `op` by MR relaxation on the
 /// homogeneous system.  Vectors are normalized but not block-orthonormalized
-/// (the Transfer does that).  With `batched` the candidates relax as one
-/// masked block-MR: a candidate whose <Mr,Mr> reaches 0 is frozen at the
-/// iteration where the per-vector loop stops.
+/// (the Transfer does that).  With `group` > 1 each block of candidates
+/// relaxes as one masked block-MR: a candidate whose <Mr,Mr> reaches 0 is
+/// frozen at the iteration where the per-vector loop stops.
 template <typename T>
 std::vector<ColorSpinorField<T>> generate_null_vectors(
     const LinearOperator<T>& op, const NullSpaceParams& params,
-    bool batched = false);
+    int group = 1);
 
 /// Refresh existing candidate vectors in place: `iters` MR relaxation
 /// sweeps on M x = 0 starting from each CURRENT vector instead of a random
@@ -48,11 +51,11 @@ std::vector<ColorSpinorField<T>> generate_null_vectors(
 /// configuration correlated with the one the vectors were generated on,
 /// they are already near-null up to the configuration drift, so a handful
 /// of sweeps re-adapts them at a fraction of the from-scratch cost.
-/// Vectors are re-normalized.  `batched` as for generate_null_vectors.
+/// Vectors are re-normalized.  `group` as for generate_null_vectors.
 template <typename T>
 void relax_null_vectors(const LinearOperator<T>& op,
                         std::vector<ColorSpinorField<T>>& vecs, int iters,
-                        double omega, bool batched = false);
+                        double omega, int group = 1);
 
 /// One adaptive-setup pass: v <- normalize((1 - B M) v), `iters` times per
 /// candidate, where M = `op` and B is the two-grid cycle over `transfer`
@@ -60,14 +63,14 @@ void relax_null_vectors(const LinearOperator<T>& op,
 /// `coarse`, prolongate, then `smooth_iters` MR post-smoothing sweeps with
 /// relaxation factor `omega` on `op`.  Components the coarse space already
 /// captures are annihilated, leaving v rich in the error modes the method
-/// cannot yet treat.  With `batched` each sweep is one block two-grid cycle
-/// over all candidates (block GCR and block MR, per-rhs masked, so a zero
-/// candidate stays zero).
+/// cannot yet treat.  With `group` > 1 each sweep is one block two-grid
+/// cycle per block of candidates (block GCR and block MR, per-rhs masked,
+/// so a zero candidate stays zero).
 template <typename T>
 void refine_null_vectors(const LinearOperator<T>& op,
                          const Transfer<T>& transfer,
                          const CoarseDirac<T>& coarse,
                          std::vector<ColorSpinorField<T>>& vecs, int iters,
-                         int smooth_iters, double omega, bool batched = false);
+                         int smooth_iters, double omega, int group = 1);
 
 }  // namespace qmg

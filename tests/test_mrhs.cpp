@@ -4,8 +4,8 @@
 // MG cycle, and the masked block GCR — must be BIT-identical, rhs by rhs,
 // to N single-rhs applications with the same kernel configuration, across
 // the Serial and Threaded backends at 1/2/4/8 threads and across
-// rhs-blockings.  The batched coarse-level MG setup (mg/nullspace.h) must
-// reproduce the per-vector setup candidate by candidate.  Plus the
+// rhs-blockings.  The batched MG setup (mg/nullspace.h) must reproduce the
+// per-vector setup candidate by candidate on the fine and a coarse level.  Plus the
 // TuneCache persistence round trip and the hoisted MRHS validation.
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "core/context.h"
 #include "dirac/clover.h"
@@ -484,15 +485,43 @@ TEST_F(MrhsEquivalenceTest, BatchedCycleBitIdentical) {
   }
 }
 
-// --- Batched coarse-level setup ----------------------------------------------
+// --- Batched setup ------------------------------------------------------------
 
-/// A three-level hierarchy over the shared 4^4 operator, with 2x2x2x4 and
-/// 2^4 coarse grids (every extent even, so both coarse levels have a Schur
-/// complement).  Both coarse operators run a pinned kernel config, the
-/// condition of the per-candidate bit-identity contract.
+/// Level 0 of a two-level hierarchy in precision T: disordered
+/// Wilson-clover on 4^4 with 2^4 aggregates, built under Serial, whose
+/// level-1 operator runs a pinned kernel config (the condition of the
+/// per-candidate bit-identity contract).
+template <typename T>
+struct FineLevel {
+  FineLevel() {
+    MgLevelConfig l1;
+    l1.nvec = 4;
+    l1.null_iters = 8;
+    MgConfig config;
+    config.levels = {l1};
+    mg = std::make_unique<Multigrid<T>>(op, config);
+    mg->coarse_op_mutable(0).set_kernel_config({Strategy::ColorSpin, 1, 1, 2});
+  }
+
+  GeometryPtr geom = make_geometry(Coord{4, 4, 4, 4});
+  GaugeField<T> gauge = disordered_gauge<T>(geom, 0.4, 29);
+  CloverField<T> clover = build_clover_with_inverse(gauge, T(1), T(0.1));
+  WilsonCloverOp<T> op{gauge, WilsonParams<T>{.mass = T(0.1), .csw = T(1)},
+                       &clover};
+  std::unique_ptr<Multigrid<T>> mg;
+};
+
+/// The candidate routines of mg/nullspace.h under group sizes > 1 against
+/// the group-1 (single-rhs stream) reference, candidate by candidate.  The
+/// coarse cases run on level 1 of a three-level hierarchy over the shared
+/// 4^4 operator, with 2x2x2x4 and 2^4 coarse grids (every extent even, so
+/// both coarse levels have a Schur complement) and both coarse operators
+/// pinned.  The fine cases run on FineLevel in double and in float, the
+/// hierarchy's precision, whose lane pack is 4 wide on the baseline ISA.
 class BatchedSetupTest : public MrhsEquivalenceTest {
  protected:
-  using Fields = std::vector<ColorSpinorField<double>>;
+  template <typename T>
+  using Fields = std::vector<ColorSpinorField<T>>;
 
   void SetUp() override {
     MrhsEquivalenceTest::SetUp();
@@ -513,55 +542,122 @@ class BatchedSetupTest : public MrhsEquivalenceTest {
 
   const CoarseDirac<double>& level1() const { return mg_->coarse_op(0); }
 
-  /// Level-1 candidates: four partly relaxed vectors, then an all-zero one
-  /// that the batched routines must keep masked while the others move.
-  Fields candidates() const {
+  /// `relaxed` partly relaxed candidates of `op`, then an all-zero one that
+  /// the batched routines must keep masked while the others move.
+  template <typename T>
+  static Fields<T> candidates(const LinearOperator<T>& op, int relaxed) {
     NullSpaceParams ns;
-    ns.nvec = 4;
+    ns.nvec = relaxed;
     ns.iters = 3;
     ns.seed = 211;
-    Fields vecs = generate_null_vectors(level1(), ns);
-    vecs.push_back(level1().create_vector());
+    Fields<T> vecs = generate_null_vectors(op, ns);
+    vecs.push_back(op.create_vector());
     return vecs;
   }
 
-  /// Runs `batched` at Serial and at Threaded with 1, 2 and 4 threads, and
-  /// checks every candidate bitwise against the per-vector `ref`.
-  static void expect_matches_per_vector(const Fields& ref,
-                                        const std::function<Fields()>& batched) {
-    for (const int threads : {0, 1, 2, 4}) {
-      if (threads == 0)
-        use_serial();
-      else
-        use_threaded(threads);
-      const Fields got = batched();
-      ASSERT_EQ(got.size(), ref.size());
-      for (size_t k = 0; k < ref.size(); ++k)
-        EXPECT_TRUE(bits_equal(got[k], ref[k]))
-            << (threads == 0 ? "serial" : "threaded")
-            << " threads=" << threads << " candidate=" << k;
-    }
+  /// Runs `grouped(g)` for every g in `groups` at Serial and at Threaded
+  /// with 1, 2 and 4 threads, and checks every candidate bitwise against
+  /// the group-1 `ref`.
+  template <typename T>
+  static void expect_groups_match(
+      const Fields<T>& ref, std::initializer_list<int> groups,
+      const std::function<Fields<T>(int)>& grouped) {
+    for (const int group : groups)
+      for (const int threads : {0, 1, 2, 4}) {
+        if (threads == 0)
+          use_serial();
+        else
+          use_threaded(threads);
+        const Fields<T> got = grouped(group);
+        ASSERT_EQ(got.size(), ref.size());
+        for (size_t k = 0; k < ref.size(); ++k)
+          EXPECT_TRUE(bits_equal(got[k], ref[k]))
+              << (threads == 0 ? "serial" : "threaded")
+              << " threads=" << threads << " group=" << group
+              << " candidate=" << k;
+      }
+  }
+
+  /// How far from 1 a normalized candidate's norm2 may read in T.
+  template <typename T>
+  static double norm_tol() {
+    return std::is_same_v<T, float> ? 1e-5 : 1e-12;
   }
 
   /// Every candidate but the last is finite, unit-norm and moved away from
   /// its start; the last (all-zero) one is still exactly zero.
-  static void expect_zero_candidate_masked(const Fields& start,
-                                           const Fields& out) {
+  template <typename T>
+  static void expect_zero_candidate_masked(const Fields<T>& start,
+                                           const Fields<T>& out) {
+    const double tol = norm_tol<T>();
     ASSERT_EQ(out.size(), start.size());
     for (size_t k = 0; k + 1 < out.size(); ++k) {
       const double n2 = blas::norm2(out[k]);
       EXPECT_TRUE(std::isfinite(n2)) << "candidate " << k;
-      EXPECT_NEAR(n2, 1.0, 1e-12) << "candidate " << k;
+      EXPECT_NEAR(n2, 1.0, tol) << "candidate " << k;
       EXPECT_FALSE(bits_equal(out[k], start[k])) << "candidate " << k;
     }
     const auto& zero = out.back();
     for (long i = 0; i < zero.size(); ++i)
-      ASSERT_TRUE(zero.data()[i].re == 0.0 && zero.data()[i].im == 0.0)
+      ASSERT_TRUE(zero.data()[i].re == 0 && zero.data()[i].im == 0)
           << "zero candidate changed at element " << i;
+  }
+
+  // The fine cases use seven candidates (six relaxed plus the zero one in
+  // refresh and refinement), so a group of 4 leaves a tail of 3.
+
+  template <typename T>
+  static void check_fine_generation() {
+    use_serial();
+    const FineLevel<T> fine;
+    NullSpaceParams ns;
+    ns.nvec = 7;
+    ns.iters = 12;
+    ns.seed = 409;
+    const Fields<T> ref = generate_null_vectors(fine.op, ns);
+    for (const auto& v : ref) EXPECT_NEAR(blas::norm2(v), 1.0, norm_tol<T>());
+    expect_groups_match<T>(ref, {2, 4, 7}, [&](int group) {
+      return generate_null_vectors(fine.op, ns, group);
+    });
+  }
+
+  template <typename T>
+  static void check_fine_refresh() {
+    use_serial();
+    const FineLevel<T> fine;
+    const Fields<T> start = candidates(fine.op, 6);
+    Fields<T> ref = start;
+    relax_null_vectors(fine.op, ref, 10, 0.85);
+    expect_zero_candidate_masked(start, ref);
+    expect_groups_match<T>(ref, {2, 4, 7}, [&](int group) {
+      Fields<T> vecs = start;
+      relax_null_vectors(fine.op, vecs, 10, 0.85, group);
+      return vecs;
+    });
+  }
+
+  template <typename T>
+  static void check_fine_refinement() {
+    use_serial();
+    const FineLevel<T> fine;
+    const Fields<T> start = candidates(fine.op, 6);
+    Fields<T> ref = start;
+    refine_null_vectors(fine.op, fine.mg->transfer(0), fine.mg->coarse_op(0),
+                        ref, /*iters=*/2, /*smooth_iters=*/4, 0.85);
+    expect_zero_candidate_masked(start, ref);
+    expect_groups_match<T>(ref, {2, 4, 7}, [&](int group) {
+      Fields<T> vecs = start;
+      refine_null_vectors(fine.op, fine.mg->transfer(0),
+                          fine.mg->coarse_op(0), vecs, /*iters=*/2,
+                          /*smooth_iters=*/4, 0.85, group);
+      return vecs;
+    });
   }
 
   std::unique_ptr<Multigrid<double>> mg_;
 };
+
+// Coarse level: five candidates as one nvec-wide group and in groups of 3.
 
 TEST_F(BatchedSetupTest, BatchedGenerationMatchesPerVector) {
   NullSpaceParams ns;
@@ -569,40 +665,57 @@ TEST_F(BatchedSetupTest, BatchedGenerationMatchesPerVector) {
   ns.iters = 12;
   ns.seed = 307;
   use_serial();
-  const Fields ref = generate_null_vectors(level1(), ns);
+  const Fields<double> ref = generate_null_vectors(level1(), ns);
   for (const auto& v : ref) EXPECT_NEAR(blas::norm2(v), 1.0, 1e-12);
-  expect_matches_per_vector(ref, [&] {
-    return generate_null_vectors(level1(), ns, /*batched=*/true);
+  expect_groups_match<double>(ref, {5, 3}, [&](int group) {
+    return generate_null_vectors(level1(), ns, group);
   });
 }
 
 TEST_F(BatchedSetupTest, BatchedRefreshMatchesPerVector) {
   use_serial();
-  const Fields start = candidates();
-  Fields ref = start;
+  const Fields<double> start = candidates<double>(level1(), 4);
+  Fields<double> ref = start;
   relax_null_vectors(level1(), ref, 10, 0.85);
   expect_zero_candidate_masked(start, ref);
-  expect_matches_per_vector(ref, [&] {
-    Fields vecs = start;
-    relax_null_vectors(level1(), vecs, 10, 0.85, /*batched=*/true);
+  expect_groups_match<double>(ref, {5, 3}, [&](int group) {
+    Fields<double> vecs = start;
+    relax_null_vectors(level1(), vecs, 10, 0.85, group);
     return vecs;
   });
 }
 
 TEST_F(BatchedSetupTest, BatchedRefinementMatchesPerVector) {
   use_serial();
-  const Fields start = candidates();
-  Fields ref = start;
+  const Fields<double> start = candidates<double>(level1(), 4);
+  Fields<double> ref = start;
   refine_null_vectors(level1(), mg_->transfer(1), mg_->coarse_op(1), ref,
                       /*iters=*/2, /*smooth_iters=*/4, 0.85);
   expect_zero_candidate_masked(start, ref);
-  expect_matches_per_vector(ref, [&] {
-    Fields vecs = start;
+  expect_groups_match<double>(ref, {5, 3}, [&](int group) {
+    Fields<double> vecs = start;
     refine_null_vectors(level1(), mg_->transfer(1), mg_->coarse_op(1), vecs,
-                        /*iters=*/2, /*smooth_iters=*/4, 0.85,
-                        /*batched=*/true);
+                        /*iters=*/2, /*smooth_iters=*/4, 0.85, group);
     return vecs;
   });
+}
+
+// Fine level (Wilson-clover, refinement against the pinned level-1
+// operator), in double and in float.
+
+TEST_F(BatchedSetupTest, FineGenerationMatchesPerVector) {
+  check_fine_generation<double>();
+  check_fine_generation<float>();
+}
+
+TEST_F(BatchedSetupTest, FineRefreshMatchesPerVector) {
+  check_fine_refresh<double>();
+  check_fine_refresh<float>();
+}
+
+TEST_F(BatchedSetupTest, FineRefinementMatchesPerVector) {
+  check_fine_refinement<double>();
+  check_fine_refinement<float>();
 }
 
 TEST(TuneCachePersistence, RoundTripsKernelAndLaunchEntries) {

@@ -416,6 +416,50 @@ TEST_F(SimdDispatchTest, BlockBlasBitIdenticalPerRhsWithMasks) {
   }
 }
 
+/// The block reductions engage the pool on the per-rhs element count, as the
+/// block updates do, and keep the chunk decomposition and combine tree, so
+/// they stay bitwise equal to Serial.  An 8^4 float block holds 49152
+/// elements per rhs, enough for the host grain (1024 per worker) at 4
+/// threads; both the lane path (default policy) and the scalar block_reduce
+/// (explicit width 1) run there.
+TEST_F(SimdDispatchTest, BlockReductionsOnThePoolMatchSerial) {
+  auto geom = make_geometry(Coord{8, 8, 8, 8});
+  LaunchPolicy serial;
+  serial.backend = Backend::Serial;
+  for (const int nrhs : {4, 12}) {
+    std::vector<ColorSpinorField<float>> xs, ys;
+    for (int k = 0; k < nrhs; ++k) {
+      xs.emplace_back(geom, 4, 3);
+      xs.back().gaussian(500 + k);
+      ys.emplace_back(geom, 4, 3);
+      ys.back().gaussian(600 + k);
+    }
+    const BlockSpinor<float> x = pack_block(xs);
+    const BlockSpinor<float> y = pack_block(ys);
+    ASSERT_GE(x.rhs_size(), 4 * 1024);
+    const auto ref_n2 = blas::block_norm2(x, serial);
+    const auto ref_dot = blas::block_cdot(x, y, serial);
+    for (const int threads : {2, 4}) {
+      ThreadPool::instance().resize(threads);
+      set_default_policy(LaunchPolicy{});
+      LaunchPolicy scalar = blas::detail::policy_for(Location::Host);
+      scalar.simd_width = 1;
+      for (const LaunchPolicy& p :
+           {blas::detail::policy_for(Location::Host), scalar}) {
+        const auto n2 = blas::block_norm2(x, p);
+        const auto dot = blas::block_cdot(x, y, p);
+        for (int k = 0; k < nrhs; ++k) {
+          EXPECT_EQ(n2[k], ref_n2[k])
+              << "nrhs=" << nrhs << " threads=" << threads
+              << " width=" << p.simd_width << " rhs=" << k;
+          EXPECT_EQ(dot[k].re, ref_dot[k].re) << "nrhs=" << nrhs;
+          EXPECT_EQ(dot[k].im, ref_dot[k].im) << "nrhs=" << nrhs;
+        }
+      }
+    }
+  }
+}
+
 // --- batched kernels: shared operator fixture -------------------------------
 
 /// Shared small-but-real problem: disordered Wilson-Clover on 4^4 and a
