@@ -1,104 +1,33 @@
 #include "comm/dist_coarse.h"
 
-#include <cstring>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "dirac/gamma.h"
 #include "fields/blas.h"
-#include "mg/coarse_row.h"
 #include "mg/coarse_stencil.h"
 #include "parallel/dispatch.h"
 
 namespace qmg {
 
-using detail::DenseStencil;
-using detail::HalfStencil;
-
 template <typename T>
 DistributedCoarseOp<T>::DistributedCoarseOp(const CoarseDirac<T>& global,
                                             DecompositionPtr dec)
-    : dec_(std::move(dec)), nc_(global.ncolor()), n_(global.block_dim()),
-      storage_(global.storage()) {
+    : dec_(std::move(dec)), nc_(global.ncolor()), n_(global.block_dim()) {
   const int nranks = dec_->nranks();
   const long v = dec_->local_volume();
-  const size_t block = static_cast<size_t>(n_) * n_;
 
-  // Split the global links over the ranks in the global operator's own
-  // storage format — a compressed global stays compressed per rank, and the
-  // Half16 split is a raw int16+scale copy (no dequantize/requantize round
-  // trip), so every per-rank stencil row resolves bit-identically to the
-  // global one.
-  if (storage_ == CoarseStorage::Single) {
-    links_lo_.assign(nranks, std::vector<Complex<float>>(
-                                 static_cast<size_t>(v) *
-                                 CoarseDirac<T>::kNLinks * block));
-    diag_lo_.assign(nranks,
-                    std::vector<Complex<float>>(static_cast<size_t>(v) *
-                                                block));
-    for (int r = 0; r < nranks; ++r) {
-      for (long i = 0; i < v; ++i) {
-        const long gi = dec_->global_index(r, i);
-        for (int l = 0; l < CoarseDirac<T>::kNLinks; ++l)
-          std::memcpy(links_lo_[r].data() +
-                          (static_cast<size_t>(i) * CoarseDirac<T>::kNLinks +
-                           l) * block,
-                      global.link_lo_data(gi, l),
-                      sizeof(Complex<float>) * block);
-        std::memcpy(diag_lo_[r].data() + static_cast<size_t>(i) * block,
-                    global.diag_lo_data(gi), sizeof(Complex<float>) * block);
-      }
-    }
-  } else if (storage_ == CoarseStorage::Half16) {
-    half_.reserve(nranks);
-    for (int r = 0; r < nranks; ++r) {
-      half_.emplace_back(v, n_);
-      for (long i = 0; i < v; ++i)
-        half_.back().copy_site(i, global.half_links(),
-                               dec_->global_index(r, i));
-    }
-  } else {
-    links_.assign(nranks, std::vector<Complex<T>>(
-                              static_cast<size_t>(v) *
-                              CoarseDirac<T>::kNLinks * block));
-    diag_.assign(nranks,
-                 std::vector<Complex<T>>(static_cast<size_t>(v) * block));
-    for (int r = 0; r < nranks; ++r) {
-      for (long i = 0; i < v; ++i) {
-        const long gi = dec_->global_index(r, i);
-        for (int l = 0; l < CoarseDirac<T>::kNLinks; ++l)
-          std::memcpy(links_[r].data() +
-                          (static_cast<size_t>(i) * CoarseDirac<T>::kNLinks +
-                           l) * block,
-                      global.link_data(gi, l), sizeof(Complex<T>) * block);
-        std::memcpy(diag_[r].data() + static_cast<size_t>(i) * block,
-                    global.diag_data(gi), sizeof(Complex<T>) * block);
-      }
-    }
-  }
-
-  // Split the diagonal inverse alongside (the distributed Schur kernels
-  // read the exact global inverse blocks, whatever their precision).
-  if (global.has_diag_inverse()) {
-    const bool native_inv = storage_ == CoarseStorage::Native;
-    if (native_inv)
-      diag_inv_.assign(nranks,
-                       std::vector<Complex<T>>(static_cast<size_t>(v) *
-                                               block));
-    else
-      diag_inv_lo_.assign(nranks, std::vector<Complex<float>>(
-                                      static_cast<size_t>(v) * block));
-    for (int r = 0; r < nranks; ++r) {
-      for (long i = 0; i < v; ++i) {
-        const long gi = dec_->global_index(r, i);
-        if (native_inv)
-          std::memcpy(diag_inv_[r].data() + static_cast<size_t>(i) * block,
-                      global.diag_inv_data(gi), sizeof(Complex<T>) * block);
-        else
-          std::memcpy(diag_inv_lo_[r].data() + static_cast<size_t>(i) * block,
-                      global.diag_inv_lo_data(gi),
-                      sizeof(Complex<float>) * block);
-      }
-    }
+  // Split the global stencil over the ranks in its own storage format: a
+  // raw copy of each rank's sites (Half16's int16 blocks and scales too),
+  // so every per-rank stencil row resolves bit-identically to the global
+  // one.  The diagonal inverse travels along, whatever its precision.
+  std::vector<long> sites(static_cast<size_t>(v));
+  stencil_.reserve(static_cast<size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) {
+    for (long i = 0; i < v; ++i)
+      sites[static_cast<size_t>(i)] = dec_->global_index(r, i);
+    stencil_.push_back(global.stencil().extract_sites(sites));
   }
 
   // Global-parity partition of every rank's local sites.  Parity must be
@@ -125,117 +54,62 @@ DistributedCoarseOp<T>::DistributedCoarseOp(const CoarseDirac<T>& global,
 }
 
 template <typename T>
-template <typename Fn>
-void DistributedCoarseOp<T>::with_stencil(int rank, Fn&& fn) const {
-  switch (storage_) {
-    case CoarseStorage::Single:
-      fn(DenseStencil<float>{links_lo_[rank].data(), diag_lo_[rank].data(),
-                             n_});
-      break;
-    case CoarseStorage::Half16:
-      fn(HalfStencil{&half_[rank], n_});
-      break;
-    default:
-      fn(DenseStencil<T>{links_[rank].data(), diag_[rank].data(), n_});
-  }
+template <typename F>
+void DistributedCoarseOp<T>::check_field(const F& f, const char* what) const {
+  if (f.site_dof() != n_ || f.decomposition() != dec_)
+    throw std::invalid_argument(
+        std::string("dist coarse ") + what +
+        ": field is not of this operator's decomposition and N = " +
+        std::to_string(n_));
 }
 
-template <typename T>
-template <typename St>
-void DistributedCoarseOp<T>::site_row_update(
-    const St& st, int rank, const DistributedSpinor<T>& in,
-    ColorSpinorField<T>& dst_field, long site,
-    const CoarseKernelConfig& config) const {
-  using TM = typename St::value_type;
-  const Complex<T>* xin[9];
-  xin[0] = in.local(rank).site_data(site);
-  for (int mu = 0; mu < kNDim; ++mu) {
-    xin[1 + 2 * mu] = in.site_or_ghost(rank, dec_->neighbor_fwd(site, mu));
-    xin[2 + 2 * mu] = in.site_or_ghost(rank, dec_->neighbor_bwd(site, mu));
-  }
-  Complex<T>* dst = dst_field.site_data(site);
-  Complex<TM> scratch[9 * St::kScratchRow];
-  for (int row = 0; row < n_; ++row) {
-    const Complex<TM>* rows[9];
-    for (int m = 0; m < 9; ++m)
-      rows[m] = st.stencil_row(site, m, row, scratch + m * St::kScratchRow);
-    dst[row] = coarse_row_span<T, TM, T>(rows, xin, n_, config);
-  }
+namespace {
+
+/// A rank's resolver: neighbour indices from the decomposition, data from
+/// the rank's local sites or, past the local volume, its ghost zone.
+template <typename F>
+auto rank_neighbors(const DomainDecomposition& dec, const F& in, int rank) {
+  return detail::stencil_neighbors(dec, [f = &in, rank](long i) {
+    return f->site_or_ghost(rank, i);
+  });
 }
 
-template <typename T>
-template <typename St>
-void DistributedCoarseOp<T>::site_rows_update_rhs(
-    const St& st, int rank, const DistributedBlockSpinor<T>& in,
-    BlockSpinor<T>& dst_field, long site, long k0, long k1,
-    const CoarseKernelConfig& config) const {
-  // Mirrors CoarseDirac::apply_block_with_config: one stencil-row resolve
-  // per (site, row) tile, rhs streamed unit-stride by coarse_row_mrhs_span
-  // (per-rhs partial-sum shape identical to coarse_row_span, so per-rhs
-  // results are bit-identical to the single-rhs distributed apply at the
-  // same precision axes).  Local and ghost site blocks share the
-  // rhs-innermost layout, so the same pointer arithmetic serves both.
-  using TM = typename St::value_type;
-  const int nrhs = in.nrhs();
-  long nbr[9];
-  nbr[0] = site;
-  for (int mu = 0; mu < kNDim; ++mu) {
-    nbr[1 + 2 * mu] = dec_->neighbor_fwd(site, mu);
-    nbr[2 + 2 * mu] = dec_->neighbor_bwd(site, mu);
-  }
-  for (long t0 = k0; t0 < k1; t0 += kCoarseRowMaxTile) {
-    const int tile =
-        static_cast<int>(std::min<long>(kCoarseRowMaxTile, k1 - t0));
-    const Complex<T>* xin[9];
-    for (int m = 0; m < 9; ++m)
-      xin[m] = in.site_or_ghost(rank, nbr[m]) + t0;
-    Complex<T>* dst = dst_field.site_data(site) + t0;
-    Complex<TM> scratch[9 * St::kScratchRow];
-    for (int row = 0; row < n_; ++row) {
-      const Complex<TM>* rows[9];
-      for (int m = 0; m < 9; ++m)
-        rows[m] = st.stencil_row(site, m, row, scratch + m * St::kScratchRow);
-      coarse_row_mrhs_span<T, TM, T>(rows, xin, nrhs, n_, config, tile,
-                                     dst + static_cast<long>(row) * nrhs);
-    }
-  }
-}
+}  // namespace
 
 template <typename T>
 void DistributedCoarseOp<T>::apply(DistributedSpinor<T>& out,
                                    DistributedSpinor<T>& in,
                                    const CoarseKernelConfig& config,
                                    CommStats* stats, HaloMode mode) const {
-  const long v = dec_->local_volume();
-
-  if (mode == HaloMode::Sync) {
-    in.exchange_halos(stats);
+  check_field(out, "apply");
+  check_field(in, "apply");
+  // Rows of every rank over `sites` (all local sites when null).
+  auto rows = [&](const std::vector<long>* sites) {
     for (int r = 0; r < dec_->nranks(); ++r) {
-      ColorSpinorField<T>& dst_field = out.local(r);
-      with_stencil(r, [&](const auto& st) {
-        parallel_for(v, [&](long site) {
-          site_row_update(st, r, in, dst_field, site, config);
-        });
-      });
-    }
-    return;
-  }
-
-  // Two-phase overlapped apply: interior launch races the persistent comm
-  // worker, boundary launch follows the ghost landing (run_overlapped in
-  // dist_spinor.h is the shared protocol).
-  auto phase = [&](const std::vector<long>& sites) {
-    for (int r = 0; r < dec_->nranks(); ++r) {
-      ColorSpinorField<T>& dst_field = out.local(r);
-      with_stencil(r, [&](const auto& st) {
-        parallel_for_indices(sites, [&](long site) {
-          site_row_update(st, r, in, dst_field, site, config);
-        });
+      ColorSpinorField<T>& dst = out.local(r);
+      const auto nbrs = rank_neighbors(*dec_, in, r);
+      stencil_[static_cast<size_t>(r)].visit([&](const auto& st) {
+        auto body = [&](long site) {
+          detail::coarse_apply_rows(st, nbrs, site, 0, n_,
+                                    dst.site_data(site), config);
+        };
+        if (sites)
+          parallel_for_indices(*sites, body);
+        else
+          parallel_for(dec_->local_volume(), body);
       });
     }
   };
-  run_overlapped(in, stats, [&] { phase(dec_->interior_sites()); },
-                 [&] { phase(dec_->boundary_sites()); });
+  if (mode == HaloMode::Sync) {
+    in.exchange_halos(stats);
+    rows(nullptr);
+    return;
+  }
+  // Two-phase overlapped apply: interior launch races the persistent comm
+  // worker, boundary launch follows the ghost landing (run_overlapped in
+  // dist_spinor.h is the shared protocol).
+  run_overlapped(in, stats, [&] { rows(&dec_->interior_sites()); },
+                 [&] { rows(&dec_->boundary_sites()); });
 }
 
 template <typename T>
@@ -244,102 +118,69 @@ void DistributedCoarseOp<T>::apply_block(DistributedBlockSpinor<T>& out,
                                          const CoarseKernelConfig& config,
                                          CommStats* stats, HaloMode mode,
                                          const LaunchPolicy& policy) const {
-  if (out.nrhs() != in.nrhs() || in.site_dof() != n_ || out.site_dof() != n_)
-    throw std::invalid_argument("dist coarse apply_block: shape mismatch");
-  const long v = dec_->local_volume();
-  const int nrhs = in.nrhs();
-
-  if (mode == HaloMode::Sync) {
-    in.exchange_halos(stats, policy);
+  check_field(out, "apply_block");
+  check_field(in, "apply_block");
+  if (out.nrhs() != in.nrhs())
+    throw std::invalid_argument("dist coarse apply_block: rhs count mismatch");
+  const long nrhs = in.nrhs();
+  // Rhs tiles of every rank over `sites` (all local sites when null), at
+  // the rhs lane width of T like the replicated batched apply.
+  auto rows = [&](const std::vector<long>* sites) {
     for (int r = 0; r < dec_->nranks(); ++r) {
-      BlockSpinor<T>& dst_field = out.local(r);
-      with_stencil(r, [&](const auto& st) {
-        parallel_for_2d_tiled(v, nrhs, policy,
-                              [&](long site, long k0, long k1) {
-          site_rows_update_rhs(st, r, in, dst_field, site, k0, k1, config);
+      BlockSpinor<T>& dst = out.local(r);
+      const auto nbrs = rank_neighbors(*dec_, in, r);
+      stencil_[static_cast<size_t>(r)].visit([&](const auto& st) {
+        detail::with_rhs_lanes<T>(policy, nrhs, [&](auto wc,
+                                                     const LaunchPolicy& p) {
+          constexpr int W = decltype(wc)::value;
+          auto body = [&](long site, long k0, long k1) {
+            detail::coarse_apply_rhs_tile<W, T, T>(st, nbrs, site, k0, k1,
+                                                   nrhs, dst.site_data(site),
+                                                   config);
+          };
+          if (sites)
+            parallel_for_2d_indices_tiled(*sites, nrhs, p, body);
+          else
+            parallel_for_2d_tiled(dec_->local_volume(), nrhs, p, body);
         });
       });
     }
+  };
+  if (mode == HaloMode::Sync) {
+    in.exchange_halos(stats, policy);
+    rows(nullptr);
     return;
   }
-
-  auto phase = [&](const std::vector<long>& sites) {
-    for (int r = 0; r < dec_->nranks(); ++r) {
-      BlockSpinor<T>& dst_field = out.local(r);
-      with_stencil(r, [&](const auto& st) {
-        parallel_for_2d_indices_tiled(
-            sites, nrhs, policy, [&](long site, long k0, long k1) {
-              site_rows_update_rhs(st, r, in, dst_field, site, k0, k1,
-                                   config);
-            });
-      });
-    }
-  };
-  run_overlapped(in, stats, [&] { phase(dec_->interior_sites()); },
-                 [&] { phase(dec_->boundary_sites()); });
+  run_overlapped(in, stats, [&] { rows(&dec_->interior_sites()); },
+                 [&] { rows(&dec_->boundary_sites()); });
 }
 
 // --- distributed even-odd (Schur) kernels -----------------------------------
-
-template <typename T>
-template <typename St>
-void DistributedCoarseOp<T>::site_hop_rhs(const St& st, int rank,
-                                          const DistributedBlockSpinor<T>& in,
-                                          BlockSpinor<T>& dst_field,
-                                          long site, int k) const {
-  // Per-(site, rhs) hopping row sums in exactly the order of
-  // CoarseDirac::apply_hopping_parity_block_st: gather the 8 neighbor
-  // vectors of rhs k, then for each output row accumulate the 8 link-row
-  // dot products m-major.  Neighbor gathers read local or ghost blocks
-  // through the shared rhs-innermost layout.
-  using TM = typename St::value_type;
-  const int n = n_;
-  const int nrhs = in.nrhs();
-  Complex<T> xbuf[8 * CoarseDirac<T>::kMaxBlockDim];
-  for (int mu = 0; mu < kNDim; ++mu) {
-    const long nf = dec_->neighbor_fwd(site, mu);
-    const long nb = dec_->neighbor_bwd(site, mu);
-    const Complex<T>* pf = in.site_or_ghost(rank, nf) + k;
-    const Complex<T>* pb = in.site_or_ghost(rank, nb) + k;
-    for (int d = 0; d < n; ++d) {
-      xbuf[(2 * mu) * n + d] = pf[static_cast<size_t>(d) * nrhs];
-      xbuf[(2 * mu + 1) * n + d] = pb[static_cast<size_t>(d) * nrhs];
-    }
-  }
-  Complex<T>* dst = dst_field.site_data(site) + k;
-  Complex<TM> scratch[St::kScratchRow];
-  for (int r = 0; r < n; ++r) {
-    Complex<T> acc{};
-    for (int m = 0; m < 8; ++m) {
-      const Complex<TM>* row = st.link_row(site, m, r, scratch);
-      const Complex<T>* x = xbuf + m * n;
-      for (int c = 0; c < n; ++c) acc += Complex<T>(row[c]) * x[c];
-    }
-    dst[static_cast<size_t>(r) * nrhs] = acc;
-  }
-}
 
 template <typename T>
 void DistributedCoarseOp<T>::apply_hopping_parity_block(
     DistributedBlockSpinor<T>& out, DistributedBlockSpinor<T>& in,
     int out_parity, CommStats* stats, HaloMode mode,
     const LaunchPolicy& policy) const {
-  if (out.nrhs() != in.nrhs() || in.site_dof() != n_ || out.site_dof() != n_)
+  check_field(out, "hopping_parity_block");
+  check_field(in, "hopping_parity_block");
+  if (out.nrhs() != in.nrhs())
     throw std::invalid_argument("dist hopping_parity_block: shape mismatch");
   if (n_ > CoarseDirac<T>::kMaxBlockDim)
     throw std::invalid_argument("dist hopping kernel: N exceeds buffer cap");
-  const int nrhs = in.nrhs();
+  const long nrhs = in.nrhs();
   auto phase = [&](const std::vector<std::array<std::vector<long>, 2>>&
                        lists) {
     for (int r = 0; r < dec_->nranks(); ++r) {
-      BlockSpinor<T>& dst_field = out.local(r);
-      with_stencil(r, [&](const auto& st) {
+      BlockSpinor<T>& dst = out.local(r);
+      const auto nbrs = rank_neighbors(*dec_, in, r);
+      stencil_[static_cast<size_t>(r)].visit([&](const auto& st) {
         parallel_for_2d_indices_tiled(
             lists[static_cast<size_t>(r)][static_cast<size_t>(out_parity)],
             nrhs, policy, [&](long site, long k0, long k1) {
               for (long k = k0; k < k1; ++k)
-                site_hop_rhs(st, r, in, dst_field, site,
-                             static_cast<int>(k));
+                detail::coarse_hop_rows(st, nbrs, site, k, nrhs,
+                                        dst.site_data(site));
             });
       });
     }
@@ -355,40 +196,19 @@ void DistributedCoarseOp<T>::apply_hopping_parity_block(
 
 namespace {
 
-/// Shared batched distributed diagonal kernel: out = D in per (site, rhs)
-/// over the given per-rank site lists, with row r of D(rank, site) supplied
-/// by `row_of` — exactly the arithmetic of coarse_op.cpp's
-/// block_diag_kernel, on full-volume local blocks.
-template <typename T, typename TM, typename RowOf>
-void dist_parity_diag_kernel(
-    const DomainDecomposition& dec,
-    const std::vector<std::array<std::vector<long>, 2>>& lists, int parity,
-    BlockSpinor<T>* out_locals_base,
-    const BlockSpinor<T>* in_locals_base, int n,
-    const LaunchPolicy& policy, RowOf&& row_of) {
-  for (int r = 0; r < dec.nranks(); ++r) {
-    BlockSpinor<T>& out_local = out_locals_base[r];
-    const BlockSpinor<T>& in_local = in_locals_base[r];
-    const int nrhs = in_local.nrhs();
-    parallel_for_2d_indices_tiled(
-        lists[static_cast<size_t>(r)][static_cast<size_t>(parity)], nrhs,
-        policy, [&, r](long site, long k0, long k1) {
-          for (long kk = k0; kk < k1; ++kk) {
-            const int k = static_cast<int>(kk);
-            Complex<T> src[CoarseDirac<T>::kMaxBlockDim];
-            Complex<T> dst[CoarseDirac<T>::kMaxBlockDim];
-            Complex<TM> scratch[CoarseDirac<T>::kMaxBlockDim];
-            in_local.gather_site_rhs(site, k, src);
-            for (int row = 0; row < n; ++row) {
-              Complex<T> acc{};
-              const Complex<TM>* rp = row_of(r, site, row, scratch);
-              for (int c = 0; c < n; ++c) acc += Complex<T>(rp[c]) * src[c];
-              dst[row] = acc;
-            }
-            out_local.scatter_site_rhs(site, k, dst);
-          }
-        });
-  }
+/// out = D in per (site, rhs) over one rank's site list, D the diagonal or
+/// its inverse as seen through the row view `st`.
+template <typename T, typename St>
+void diag_sites(const St& st, const std::vector<long>& sites,
+                BlockSpinor<T>& out, const BlockSpinor<T>& in,
+                const LaunchPolicy& policy) {
+  const long nrhs = in.nrhs();
+  parallel_for_2d_indices_tiled(
+      sites, nrhs, policy, [&](long site, long k0, long k1) {
+        for (long k = k0; k < k1; ++k)
+          detail::coarse_diag_rows(st, site, in.site_data(site), k, nrhs,
+                                   out.site_data(site));
+      });
 }
 
 }  // namespace
@@ -397,63 +217,30 @@ template <typename T>
 void DistributedCoarseOp<T>::apply_diag_block(
     DistributedBlockSpinor<T>& out, const DistributedBlockSpinor<T>& in,
     int parity, const LaunchPolicy& policy) const {
+  check_field(out, "apply_diag_block");
+  check_field(in, "apply_diag_block");
   if (out.nrhs() != in.nrhs() || n_ > CoarseDirac<T>::kMaxBlockDim)
     throw std::invalid_argument("dist apply_diag_block: bad shape");
-  const size_t nn = static_cast<size_t>(n_) * n_;
-  switch (storage_) {
-    case CoarseStorage::Single:
-      dist_parity_diag_kernel<T, float>(
-          *dec_, parity_all_, parity, &out.local(0), &in.local(0), n_, policy,
-          [&](int r, long site, int row, Complex<float>*) {
-            return diag_lo_[r].data() + static_cast<size_t>(site) * nn +
-                   static_cast<size_t>(row) * n_;
-          });
-      break;
-    case CoarseStorage::Half16:
-      dist_parity_diag_kernel<T, float>(
-          *dec_, parity_all_, parity, &out.local(0), &in.local(0), n_, policy,
-          [&](int r, long site, int row, Complex<float>* scratch) {
-            half_[r].load_row(site, HalfCoarseLinks::kDiagBlock, row,
-                              scratch);
-            return static_cast<const Complex<float>*>(scratch);
-          });
-      break;
-    default:
-      dist_parity_diag_kernel<T, T>(
-          *dec_, parity_all_, parity, &out.local(0), &in.local(0), n_, policy,
-          [&](int r, long site, int row, Complex<T>*) {
-            return diag_[r].data() + static_cast<size_t>(site) * nn +
-                   static_cast<size_t>(row) * n_;
-          });
-  }
+  for (int r = 0; r < dec_->nranks(); ++r)
+    stencil_[static_cast<size_t>(r)].visit([&](const auto& st) {
+      diag_sites(st, parity_sites(r, parity), out.local(r), in.local(r),
+                 policy);
+    });
 }
 
 template <typename T>
 void DistributedCoarseOp<T>::apply_diag_inverse_block(
     DistributedBlockSpinor<T>& out, const DistributedBlockSpinor<T>& in,
     int parity, const LaunchPolicy& policy) const {
-  if (!has_diag_inverse())
-    throw std::logic_error(
-        "dist apply_diag_inverse_block: global operator had no diagonal "
-        "inverse at split time");
+  check_field(out, "apply_diag_inverse_block");
+  check_field(in, "apply_diag_inverse_block");
   if (out.nrhs() != in.nrhs() || n_ > CoarseDirac<T>::kMaxBlockDim)
     throw std::invalid_argument("dist apply_diag_inverse_block: bad shape");
-  const size_t nn = static_cast<size_t>(n_) * n_;
-  if (storage_ == CoarseStorage::Native) {
-    dist_parity_diag_kernel<T, T>(
-        *dec_, parity_all_, parity, &out.local(0), &in.local(0), n_, policy,
-        [&](int r, long site, int row, Complex<T>*) {
-          return diag_inv_[r].data() + static_cast<size_t>(site) * nn +
-                 static_cast<size_t>(row) * n_;
-        });
-  } else {
-    dist_parity_diag_kernel<T, float>(
-        *dec_, parity_all_, parity, &out.local(0), &in.local(0), n_, policy,
-        [&](int r, long site, int row, Complex<float>*) {
-          return diag_inv_lo_[r].data() + static_cast<size_t>(site) * nn +
-                 static_cast<size_t>(row) * n_;
-        });
-  }
+  for (int r = 0; r < dec_->nranks(); ++r)
+    stencil_[static_cast<size_t>(r)].visit_inverse([&](const auto& st) {
+      diag_sites(st, parity_sites(r, parity), out.local(r), in.local(r),
+                 policy);
+    });
 }
 
 template <typename T>

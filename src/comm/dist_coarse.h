@@ -12,22 +12,20 @@
 //
 // The coarse links Y and diagonal X are indexed by the *output* site
 // (Eq. 3's backward link already stores Y^{+mu dagger}_{x-mu} at x), so only
-// the spinor field needs ghosts; the link blocks — in whatever storage
-// format the global operator carries, including the 16-bit fixed-point
-// Half16 format — are split over ranks once at construction by raw copy
-// (quantized components and scales byte-identical to the global ones, so
-// per-rank dequantized rows are bit-identical too).  Ghost spinor data
+// the spinor field needs ghosts.  Each rank holds one CoarseStencilStorage
+// (mg/coarse_stencil.h), split from the global operator's at construction
+// by a raw copy in its storage format, Half16 included.  Ghost spinor data
 // travels at the field's wire precision (WirePrecision on the distributed
 // spinor), independent of the link storage.
 //
-// The per-row arithmetic is mg/coarse_row.h reached through the shared
-// stencil row views of mg/coarse_stencil.h — identical to the
-// single-process operator for the same kernel configuration, so distributed
-// applies are bit-identical to global ones (asserted by tests), and the
-// batched apply uses coarse_row_mrhs_span, whose per-rhs partial-sum shape
-// is identical to coarse_row_span's (the PR-2 equivalence), so batched
-// distributed applies are bit-identical per rhs to single-rhs distributed
-// ones.
+// This file has no kernel body of its own.  Every stage runs the shared
+// bodies of mg/coarse_stencil.h, the ones the replicated CoarseDirac runs,
+// with a rank's resolver: neighbour indices from the decomposition, data
+// from site_or_ghost.  Distributed applies are therefore bit-identical to
+// replicated ones at the same kernel configuration, batched applies run
+// the same rhs lanes, and batched applies are bit-identical per rhs to
+// single-rhs ones.  What stays here is the dispatch: per-rank interior and
+// boundary site lists, global-parity site lists, Sync or Overlapped halos.
 //
 // Beyond the full-operator apply, this file carries the distributed
 // even-odd machinery of the K-cycle's coarse levels (paper section 7.1's
@@ -70,17 +68,10 @@ class DistributedCoarseOp {
   const DecompositionPtr& decomposition() const { return dec_; }
   int ncolor() const { return nc_; }
   int block_dim() const { return n_; }
-  CoarseStorage storage() const { return storage_; }
-  bool has_diag_inverse() const {
-    return !diag_inv_.empty() || !diag_inv_lo_.empty();
-  }
+  CoarseStorage storage() const { return stencil_.front().format(); }
+  bool has_diag_inverse() const { return stencil_.front().has_diag_inverse(); }
   /// Tune/bench tag matching CoarseDirac::precision_tag().
-  std::string precision_tag() const {
-    std::string tag(1, sizeof(T) == 4 ? 'f' : 'd');
-    if (storage_ == CoarseStorage::Single) tag += 'f';
-    if (storage_ == CoarseStorage::Half16) tag += 'h';
-    return tag;
-  }
+  std::string precision_tag() const { return stencil_.front().precision_tag(); }
 
   DistributedSpinor<T> create_vector() const {
     return DistributedSpinor<T>(dec_, CoarseDirac<T>::kNSpin, nc_);
@@ -91,14 +82,17 @@ class DistributedCoarseOp {
 
   /// out = Mhat in with the given fine-grained kernel configuration; in
   /// Overlapped mode the halo exchange hides behind the interior launch.
+  /// Throws std::invalid_argument unless both fields belong to this
+  /// operator's decomposition with N values per site.
   void apply(DistributedSpinor<T>& out, DistributedSpinor<T>& in,
              const CoarseKernelConfig& config = {},
              CommStats* stats = nullptr,
              HaloMode mode = HaloMode::Sync) const;
 
   /// Batched multi-rhs apply on the 2D (site x rhs) index space with one
-  /// batched halo exchange per apply; per-rhs bit-identical to apply() at
-  /// the same kernel configuration.
+  /// batched halo exchange per apply, at the policy's rhs lane width like
+  /// CoarseDirac::apply_block_with_config; per-rhs bit-identical to apply()
+  /// at the same kernel configuration.
   void apply_block(DistributedBlockSpinor<T>& out,
                    DistributedBlockSpinor<T>& in,
                    const CoarseKernelConfig& config = {},
@@ -109,8 +103,8 @@ class DistributedCoarseOp {
   // --- distributed even-odd (Schur) kernels --------------------------------
   //
   // All four act on FULL-volume distributed block fields and touch only the
-  // sites of the requested global parity; per-(site, rhs) arithmetic is
-  // exactly the global batched parity kernels' (coarse_op.cpp), so a Schur
+  // sites of the requested global parity; per-(site, rhs) they run the
+  // global batched parity kernels' bodies (mg/coarse_stencil.h), so a Schur
   // apply composed from them is bit-identical to SchurCoarseOp::apply_block.
 
   /// out(out_parity sites) = sum of the 8 link blocks times in(neighbors),
@@ -150,18 +144,9 @@ class DistributedCoarseOp {
   DecompositionPtr dec_;
   int nc_;
   int n_;
-  CoarseStorage storage_ = CoarseStorage::Native;
-  // Per rank: 8 link blocks + diagonal per local site (same layout as
-  // CoarseDirac, local indexing).  Exactly one of links_/links_lo_/half_
-  // is populated, per storage_; the diagonal inverse mirrors the global
-  // operator's precision (T for Native, float otherwise).
-  std::vector<std::vector<Complex<T>>> links_;
-  std::vector<std::vector<Complex<T>>> diag_;
-  std::vector<std::vector<Complex<float>>> links_lo_;
-  std::vector<std::vector<Complex<float>>> diag_lo_;
-  std::vector<HalfCoarseLinks> half_;
-  std::vector<std::vector<Complex<T>>> diag_inv_;
-  std::vector<std::vector<Complex<float>>> diag_inv_lo_;
+  // Per rank: the global stencil's local sites (local indexing), in the
+  // global operator's storage format, diagonal inverse included.
+  std::vector<CoarseStencilStorage<T>> stencil_;
   // Global-parity partition of each rank's local sites (a subdomain with an
   // odd-parity origin flips the local checkerboard), plus the intersections
   // with the interior/boundary sets for overlapped parity hops.
@@ -169,26 +154,10 @@ class DistributedCoarseOp {
   std::vector<std::array<std::vector<long>, 2>> parity_interior_;
   std::vector<std::array<std::vector<long>, 2>> parity_boundary_;
 
-  /// Invoke fn with the active storage format's stencil row view for
-  /// `rank` (mg/coarse_stencil.h protocol; defined in the .cpp).
-  template <typename Fn>
-  void with_stencil(int rank, Fn&& fn) const;
-
-  // Storage-generic kernel bodies (St = stencil row view; accumulation in
-  // T via the row kernels of mg/coarse_row.h).
-  template <typename St>
-  void site_row_update(const St& st, int rank, const DistributedSpinor<T>& in,
-                       ColorSpinorField<T>& dst_field, long site,
-                       const CoarseKernelConfig& config) const;
-  template <typename St>
-  void site_rows_update_rhs(const St& st, int rank,
-                            const DistributedBlockSpinor<T>& in,
-                            BlockSpinor<T>& dst_field, long site, long k0,
-                            long k1, const CoarseKernelConfig& config) const;
-  template <typename St>
-  void site_hop_rhs(const St& st, int rank,
-                    const DistributedBlockSpinor<T>& in,
-                    BlockSpinor<T>& dst_field, long site, int k) const;
+  /// Throws std::invalid_argument unless `f` is a field of this operator's
+  /// decomposition with N values per site.
+  template <typename F>
+  void check_field(const F& f, const char* what) const;
 };
 
 /// The batched distributed coarse operator behind the solver-facing

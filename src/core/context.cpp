@@ -39,10 +39,6 @@ const ContextOptions& validate_options(const ContextOptions& options) {
     throw std::invalid_argument(
         "ContextOptions: simd_width must be one of {0 (auto), 1, 2, 4, 8}, "
         "got " + std::to_string(options.simd_width));
-  if (options.mg_ca_s < 0)
-    throw std::invalid_argument(
-        "ContextOptions: mg_ca_s must be >= 0 (0 = autotune), got " +
-        std::to_string(options.mg_ca_s));
   return options;
 }
 
@@ -116,17 +112,8 @@ bool QmgContext::load_tune_cache(const std::string& path) {
 void QmgContext::setup_multigrid(const MgConfig& config) {
   // The hierarchy lives in single precision (paper section 7.1: "with the
   // exception of double precision on the outermost GCR solver, all other
-  // computation was in single precision").  The context's coarse-storage
-  // option (strategy (c)) applies unless the MgConfig already picked a
-  // format itself.
-  MgConfig cfg = config;
-  if (cfg.coarse_storage == CoarseStorage::Native)
-    cfg.coarse_storage = options_.mg_coarse_storage;
-  if (cfg.coarsest_solver == CoarsestSolver::BlockGcr) {
-    cfg.coarsest_solver = options_.mg_coarsest_solver;
-    cfg.coarsest_ca_s = options_.mg_ca_s;
-  }
-  mg_ = std::make_unique<Multigrid<float>>(*op_f_, cfg);
+  // computation was in single precision").
+  mg_ = std::make_unique<Multigrid<float>>(*op_f_, config);
   // A from-scratch hierarchy is the most expensive artifact the context
   // owns; snapshot it so a stream that revisits this configuration gets it
   // back for the cost of a dequantize.
@@ -307,7 +294,7 @@ SolveReport QmgContext::solve(std::vector<ColorSpinorField<double>>& x,
     const DistributedWilsonOp<double> dist(gauge_d_, op_d_->params(),
                                            &clover_d_, dec);
     const DistributedBlockWilsonOp<double> dist_op(
-        dist, spec.halo, spec.halo_wire.value_or(options_.halo_wire));
+        dist, spec.halo, spec.halo_wire);
     // The full latency-bound regime (paper sections 6.5 + 9): besides the
     // outer fine-operator applies above, every factorable coarse level of
     // the K-cycle dispatches through its own DistributedCoarseOp — batched

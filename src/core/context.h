@@ -9,7 +9,6 @@
 //   BiCGStab: double reliable updates <- half/single inner BiCGStab
 
 #include <memory>
-#include <optional>
 
 #include "comm/dist_spinor.h"
 #include "core/solve_api.h"
@@ -49,25 +48,6 @@ struct ContextOptions {
   // context construction and saved back at destruction, so production runs
   // skip the first-call tuning sweep.
   std::string tune_cache_file;
-  // Mixed-precision coarse storage (paper section 4, strategy (c)): the
-  // storage format of the MG hierarchy's coarse links/diag.  Applied by
-  // setup_multigrid when the MgConfig leaves coarse_storage at Native; the
-  // context's hierarchy is single precision, so Half16 is the setting that
-  // shrinks its coarse stencil traffic (~4x vs double, ~2x vs the native
-  // float links).
-  CoarseStorage mg_coarse_storage = CoarseStorage::Native;
-  // Element precision of distributed halo traffic (comm/dist_spinor.h):
-  // Single halves message and staging bytes of the double-precision
-  // distributed solves (the outer fine-operator applies of
-  // solve_mg_block_distributed).
-  WirePrecision halo_wire = WirePrecision::Native;
-  // Batched coarsest-grid solver strategy (mg/multigrid.h CoarsestSolver:
-  // reference block GCR, s-step CA-GMRES, or pipelined GCR) and the CA
-  // s-depth (0 = autotune over {2, 4, 8} through the TuneCache).  Applied
-  // by setup_multigrid unless the MgConfig already picked a non-default
-  // strategy itself.
-  CoarsestSolver mg_coarsest_solver = CoarsestSolver::BlockGcr;
-  int mg_ca_s = 4;
   // Max hierarchy snapshots the context caches across update_gauge calls
   // (mg/hierarchy_cache.h); 0 disables the cache — every revisited
   // configuration then pays a fresh refresh.
@@ -100,7 +80,7 @@ struct GaugeUpdateReport {
 
 class QmgContext {
  public:
-  /// Validates `options` up front (threads, simd_width, mg_ca_s, dims) and
+  /// Validates `options` up front (threads, simd_width, dims) and
   /// throws std::invalid_argument with a descriptive message instead of
   /// letting a bad value fail deep inside a kernel.
   explicit QmgContext(const ContextOptions& options);

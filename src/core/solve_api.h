@@ -4,7 +4,7 @@
 //
 // One SolveSpec describes WHAT to solve and HOW — method, tolerance,
 // iteration cap, even-odd preconditioning, and the distributed-execution
-// knobs (virtual rank count, halo overlap mode, wire-precision override) —
+// knobs (virtual rank count, halo overlap mode, wire precision) —
 // and one SolveReport carries everything a solve can tell its caller:
 // per-rhs solver results, batch-level matvec/sync counts, and OWNED
 // communication statistics with the coarse-level share broken out.  This
@@ -12,7 +12,6 @@
 // out-param tails (solve_mg / solve_bicgstab / solve_mg_block /
 // solve_mg_block_distributed), which survive as thin delegating wrappers.
 
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -53,9 +52,10 @@ struct SolveSpec {
   int nranks = 0;
   // Halo exchange mode of a distributed solve.
   HaloMode halo = HaloMode::Overlapped;
-  // Wire precision of distributed halo traffic for THIS solve; unset
-  // inherits ContextOptions::halo_wire.
-  std::optional<WirePrecision> halo_wire;
+  // Element precision of distributed halo traffic (comm/dist_spinor.h):
+  // Single halves message and staging bytes of the double-precision
+  // outer fine-operator applies.
+  WirePrecision halo_wire = WirePrecision::Native;
   bool record_history = false;  // per-rhs residual histories in the report
 };
 

@@ -13,41 +13,18 @@
 // The apply() kernel is parameterized by the fine-grained parallelization
 // strategy of section 6 and, by default, autotuned.
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "fields/halflinks.h"
 #include "lattice/geometry.h"
-#include "linalg/smallmat.h"
+#include "mg/coarse_stencil.h"
 #include "parallel/dispatch.h"
 #include "parallel/strategy.h"
 #include "solvers/linear_operator.h"
 
 namespace qmg {
-
-/// Storage format of the coarse links/diagonal (paper section 4, strategy
-/// (c)).  The apply kernels READ this storage but ACCUMULATE in the
-/// operator's working precision T (the storage-vs-accumulation split of
-/// mg/coarse_row.h), so Single/Half16 cut the bandwidth-bound stencil
-/// traffic ~2x/~4x relative to a double-precision operator at unchanged
-/// accumulation order; the truncation error is bounded by the K-cycle's
-/// restarted-GCR true-residual recomputation (the reliable updates).
-///   Native — links/diag in Complex<T> (the historical behavior).
-///   Single — links/diag truncated to Complex<float> (no-op when T=float).
-///   Half16 — links/diag in 16-bit fixed point (fields/halflinks.h), rows
-///            dequantized on the fly; the diagonal inverse stays float
-///            (its conditioning does not tolerate Q15 quantization).
-enum class CoarseStorage { Native, Single, Half16 };
-
-inline const char* to_string(CoarseStorage s) {
-  switch (s) {
-    case CoarseStorage::Native: return "native";
-    case CoarseStorage::Single: return "single";
-    default: return "half16";
-  }
-}
 
 template <typename T>
 class CoarseDirac : public LinearOperator<T> {
@@ -56,7 +33,7 @@ class CoarseDirac : public LinearOperator<T> {
 
   static constexpr int kNSpin = 2;
   /// 8 hop links (2*mu + dir, dir 0 = forward) + diagonal per site.
-  static constexpr int kNLinks = 8;
+  static constexpr int kNLinks = detail::kCoarseLinks;
 
   CoarseDirac(GeometryPtr geom, int ncolor);
 
@@ -65,46 +42,50 @@ class CoarseDirac : public LinearOperator<T> {
   /// Dense block dimension N = Nhat_s * Nhat_c = 2 * ncolor.
   int block_dim() const { return n_; }
 
+  /// The stencil in its active storage format (mg/coarse_stencil.h); every
+  /// kernel reads it through its visit()/visit_inverse() row views, and
+  /// DistributedCoarseOp splits it over the ranks.
+  const CoarseStencilStorage<T>& stencil() const { return stencil_; }
+
   // Raw NATIVE storage (row-major N x N Complex<T> blocks), written by the
-  // Galerkin builder and read by CoarseStencilView / convert_coarse /
-  // DistributedCoarseOp.  Released by compress_storage(); callers that
-  // need it must check has_native_storage().
+  // Galerkin builder and read by CoarseStencilView / convert_coarse.
+  // Released by compress_storage(); callers that need it must check
+  // has_native_storage().
   Complex<T>* link_data(long site, int link) {
-    return links_.data() + ((static_cast<size_t>(site) * kNLinks + link) *
-                            n_) * n_;
+    return stencil_.link_data(site, link);
   }
   const Complex<T>* link_data(long site, int link) const {
-    return links_.data() + ((static_cast<size_t>(site) * kNLinks + link) *
-                            n_) * n_;
+    return stencil_.link_data(site, link);
   }
-  Complex<T>* diag_data(long site) {
-    return diag_.data() + static_cast<size_t>(site) * n_ * n_;
-  }
+  Complex<T>* diag_data(long site) { return stencil_.diag_data(site); }
   const Complex<T>* diag_data(long site) const {
-    return diag_.data() + static_cast<size_t>(site) * n_ * n_;
+    return stencil_.diag_data(site);
   }
 
   /// Truncate the links/diagonal (and diagonal inverse, when present) into
   /// `storage` and release the native arrays — the memory AND bandwidth
   /// reduction of strategy (c).  Single with T=float is a no-op (native
   /// already IS single).  Call after Galerkin construction and
-  /// compute_diag_inverse(): recursion (CoarseStencilView), convert_coarse
-  /// and DistributedCoarseOp construction from Half16 need native data.
-  /// Every apply/hopping/diag kernel dispatches on the resulting format and
-  /// keeps accumulating in T.
-  void compress_storage(CoarseStorage storage);
-  CoarseStorage storage() const { return storage_; }
-  bool has_native_storage() const { return !links_.empty(); }
+  /// compute_diag_inverse(): recursion (CoarseStencilView) and
+  /// convert_coarse need native data.  Every kernel reads the resulting
+  /// format and keeps accumulating in T.
+  void compress_storage(CoarseStorage storage) { stencil_.compress(storage); }
+  CoarseStorage storage() const { return stencil_.format(); }
+  bool has_native_storage() const { return stencil_.has_native(); }
 
   /// Quantized copy of the ACTIVE stencil (8 links + diagonal per site) —
   /// the HierarchyCache snapshot payload.  Works from any storage format:
   /// Half16 copies the already-quantized blocks (no second quantization
   /// pass), Native/Single quantize on the way out.
-  HalfCoarseLinks snapshot_half_links() const;
+  HalfCoarseLinks snapshot_half_links() const {
+    return stencil_.snapshot_half_links();
+  }
   /// Single-precision copy of the diagonal inverse (float regardless of
   /// source format: the inverse is conditioning-sensitive, so snapshots
   /// never push it through Q15).  Requires compute_diag_inverse().
-  std::vector<Complex<float>> snapshot_diag_inverse() const;
+  std::vector<Complex<float>> snapshot_diag_inverse() const {
+    return stencil_.snapshot_diag_inverse();
+  }
   /// Install a snapshot as the ACTIVE storage: Half16 stencil + float
   /// diagonal inverse, releasing every other array (the HierarchyCache
   /// restore path — unlike compress_storage this REPLACES whatever format
@@ -112,52 +93,34 @@ class CoarseDirac : public LinearOperator<T> {
   /// snapshot carries the full stencil).  Schur complements referencing
   /// this operator follow automatically, exactly as for compress_storage.
   void install_half_storage(HalfCoarseLinks stencil,
-                            std::vector<Complex<float>> diag_inv);
-
-  /// Compressed-storage accessors (Single; also the diag-inverse of
-  /// Half16).  Null-pointer-free only for the active format.
-  const Complex<float>* link_lo_data(long site, int link) const {
-    return links_lo_.data() + ((static_cast<size_t>(site) * kNLinks + link) *
-                               n_) * n_;
+                            std::vector<Complex<float>> diag_inv) {
+    stencil_.install_half(std::move(stencil), std::move(diag_inv));
   }
-  const Complex<float>* diag_lo_data(long site) const {
-    return diag_lo_.data() + static_cast<size_t>(site) * n_ * n_;
-  }
-  const HalfCoarseLinks& half_links() const { return half_; }
 
   /// Short (accumulation, storage) tag for tune-cache keys and bench
   /// labels: "d"/"f" for native double/float, plus "f"/"h" for compressed
   /// storage — e.g. "df" = double accumulation over float links.  A float
   /// kernel must never replay a config tuned for double (different
   /// bytes/flops balance), so this feeds coarse_tune_key/mrhs_tune_key.
-  std::string precision_tag() const {
-    std::string tag(1, sizeof(T) == 4 ? 'f' : 'd');
-    if (storage_ == CoarseStorage::Single) tag += 'f';
-    if (storage_ == CoarseStorage::Half16) tag += 'h';
-    return tag;
-  }
+  std::string precision_tag() const { return stencil_.precision_tag(); }
 
   /// Precompute per-site X^{-1} (needed by Schur preconditioning and by the
   /// coarsest-level diagonal smoothing).  The LU factorization always runs
   /// in T regardless of the storage format (the inverse is
   /// conditioning-sensitive); the result is stored in the active format's
-  /// precision (T for Native, float otherwise).
-  void compute_diag_inverse();
-  bool has_diag_inverse() const {
-    return !diag_inv_.empty() || !diag_inv_lo_.empty();
-  }
-  const Complex<T>* diag_inv_data(long site) const {
-    return diag_inv_.data() + static_cast<size_t>(site) * n_ * n_;
-  }
-  const Complex<float>* diag_inv_lo_data(long site) const {
-    return diag_inv_lo_.data() + static_cast<size_t>(site) * n_ * n_;
-  }
+  /// precision (T for Native, float otherwise).  Prefer computing it BEFORE
+  /// compress_storage (what Multigrid and build_coarse_operator do): on a
+  /// compressed operator the LU can only see the truncated (for Half16,
+  /// quantized) blocks, and the inverse amplifies that error by the
+  /// block's condition number.
+  void compute_diag_inverse() { stencil_.compute_diag_inverse(); }
+  bool has_diag_inverse() const { return stencil_.has_diag_inverse(); }
 
   using BlockField = typename LinearOperator<T>::BlockField;
 
   /// Stack budget for the per-item gather buffers of the batched kernels;
   /// covers every paper configuration (Nhat_c <= 64).
-  static constexpr int kMaxBlockDim = 128;
+  static constexpr int kMaxBlockDim = detail::kCoarseMaxBlockDim;
 
   // LinearOperator interface.
   void apply(Field& out, const Field& in) const override;
@@ -203,7 +166,8 @@ class CoarseDirac : public LinearOperator<T> {
   /// the Fig. 2 bench.  The strategy selects the dispatch index space:
   /// GridOnly launches one item per site, ColorSpin and finer launch one
   /// item per (site, output row); the dir/dot splits shape the per-row
-  /// partial sums (mg/coarse_row.h).
+  /// partial sums (mg/coarse_row.h).  Throws std::invalid_argument unless
+  /// both fields are full-subset fields of this operator's shape.
   void apply_with_config(Field& out, const Field& in,
                          const CoarseKernelConfig& config,
                          const LaunchPolicy& policy = default_policy()) const;
@@ -230,15 +194,7 @@ class CoarseDirac : public LinearOperator<T> {
   /// For Half16 this matches HalfCoarseLinks::bytes_per_site (audited
   /// against the actual allocation by the precision tests).
   double stencil_bytes_per_site() const {
-    const double nn = static_cast<double>(n_) * n_;
-    switch (storage_) {
-      case CoarseStorage::Single:
-        return 9.0 * nn * 2 * sizeof(float);
-      case CoarseStorage::Half16:
-        return 9.0 * (nn * 2 * sizeof(std::int16_t) + sizeof(float));
-      default:
-        return 9.0 * nn * 2 * sizeof(T);
-    }
+    return stencil_.stencil_bytes_per_site();
   }
 
   /// Memory traffic of one apply in bytes (for roofline modeling):
@@ -254,41 +210,10 @@ class CoarseDirac : public LinearOperator<T> {
   GeometryPtr geom_;
   int nc_;
   int n_;
-  CoarseStorage storage_ = CoarseStorage::Native;
-  std::vector<Complex<T>> links_;
-  std::vector<Complex<T>> diag_;
-  std::vector<Complex<T>> diag_inv_;
-  // Compressed storage (active when storage_ != Native): Single keeps
-  // float links/diag; Half16 keeps quantized links/diag plus a float
-  // diagonal inverse.
-  std::vector<Complex<float>> links_lo_;
-  std::vector<Complex<float>> diag_lo_;
-  std::vector<Complex<float>> diag_inv_lo_;
-  HalfCoarseLinks half_;
+  CoarseStencilStorage<T> stencil_;
   CoarseKernelConfig config_;
   bool autotune_ = true;
   mutable std::optional<Field> dagger_tmp_;
-
-  // Storage-generic kernel bodies (defined in coarse_op.cpp / mrhs.cpp):
-  // `Stencil` is a row-view over the active storage (zero-copy rows for
-  // dense formats, dequantize-into-scratch for Half16) and the kernels
-  // accumulate in T via coarse_row_span / coarse_row_mrhs_span.
-  template <typename Stencil>
-  void apply_with_config_st(Field& out, const Field& in,
-                            const CoarseKernelConfig& config,
-                            const LaunchPolicy& policy,
-                            const Stencil& st) const;
-  template <typename Stencil, typename TX>
-  void apply_block_with_config_st(BlockField& out, const BlockSpinor<TX>& in,
-                                  const CoarseKernelConfig& config,
-                                  const LaunchPolicy& policy,
-                                  const Stencil& st) const;
-  template <typename Stencil>
-  void apply_hopping_parity_st(Field& out, const Field& in, int out_parity,
-                               const Stencil& st) const;
-  template <typename Stencil>
-  void apply_hopping_parity_block_st(BlockField& out, const BlockField& in,
-                                     int out_parity, const Stencil& st) const;
 };
 
 /// Even-odd Schur complement of a coarse operator:

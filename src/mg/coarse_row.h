@@ -1,9 +1,9 @@
 #pragma once
 // The coarse-operator row kernel: one output color-spin row computed with
 // the fine-grained decomposition of paper section 6 (direction split, dot
-// split, ILP), shared by the single-process operator (mg/coarse_op.cpp) and
-// the domain-decomposed operator (comm/dist_coarse.cpp) so that both
-// produce bit-identical results for the same kernel configuration.
+// split, ILP).  The stencil bodies of mg/coarse_stencil.h call it for the
+// single-process and the domain-decomposed operator alike, so both produce
+// bit-identical results for the same kernel configuration.
 //
 // Precision is a first-class template axis (paper section 4, strategy (c)):
 // the kernels are parameterized on the accumulation type Tacc, the stencil
@@ -96,23 +96,7 @@ inline Complex<T> coarse_row(const Complex<T>* const mats[9],
   return coarse_row_span<T, T, T>(rows, xin, n, cfg);
 }
 
-/// Mixed-precision row kernel over block-base pointers: storage types
-/// deduced from the arguments, accumulation type given explicitly —
-/// coarse_row_mixed<double>(float_mats, double_xin, ...) is the paper's
-/// "store low, accumulate high" configuration.
-template <typename Tacc, typename TM, typename TX>
-inline Complex<Tacc> coarse_row_mixed(const Complex<TM>* const mats[9],
-                                      const Complex<TX>* const xin[9],
-                                      int row, int n,
-                                      const CoarseKernelConfig& cfg) {
-  const Complex<TM>* rows[9];
-  for (int m = 0; m < 9; ++m)
-    rows[m] = mats[m] + static_cast<size_t>(row) * n;
-  return coarse_row_span<Tacc, TM, TX>(rows, xin, n, cfg);
-}
-
-
-/// Widest rhs tile coarse_row_mrhs processes per call (register/stack
+/// Widest rhs tile coarse_row_mrhs_span processes per call (register/stack
 /// budget); callers sub-tile wider batches.
 inline constexpr int kCoarseRowMaxTile = 16;
 
@@ -288,19 +272,6 @@ inline void coarse_row_mrhs_pack_groups(const Complex<TM>* const rows[9],
   if constexpr (G > 1)
     coarse_row_mrhs_pack_groups<Tacc, TM, TX, W, G - 1>(rows, xin, stride, n,
                                                         cfg, groups, out);
-}
-
-/// Uniform-precision MRHS kernel over block-base pointers (the historical
-/// signature), bit-identical to the pre-split implementation.
-template <typename T>
-inline void coarse_row_mrhs(const Complex<T>* const mats[9],
-                            const Complex<T>* const xin[9], long stride,
-                            int row, int n, const CoarseKernelConfig& cfg,
-                            int tile, Complex<T>* out) {
-  const Complex<T>* rows[9];
-  for (int m = 0; m < 9; ++m)
-    rows[m] = mats[m] + static_cast<size_t>(row) * n;
-  coarse_row_mrhs_span<T, T, T>(rows, xin, stride, n, cfg, tile, out);
 }
 
 }  // namespace qmg

@@ -12,109 +12,7 @@
 
 namespace qmg {
 
-using detail::DenseStencil;
-using detail::HalfStencil;
-using detail::sim_precision;
-
 // --- CoarseDirac batched kernels (declared in mg/coarse_op.h) ---------------
-
-template <typename T>
-template <typename Stencil, typename TX>
-void CoarseDirac<T>::apply_block_with_config_st(BlockField& out,
-                                                const BlockSpinor<TX>& in,
-                                                const CoarseKernelConfig& config,
-                                                const LaunchPolicy& policy,
-                                                const Stencil& st) const {
-  using TM = typename Stencil::value_type;
-  const long v = geom_->volume();
-  const int n = n_;
-  const int nrhs = in.nrhs();
-  // Per-item neighbor indexing (Listing 2's arithmetic).
-  auto site_nbrs = [&](long site, long* nbr) {
-    nbr[0] = site;
-    for (int mu = 0; mu < kNDim; ++mu) {
-      nbr[1 + 2 * mu] = geom_->neighbor_fwd(site, mu);
-      nbr[2 + 2 * mu] = geom_->neighbor_bwd(site, mu);
-    }
-  };
-  // One dispatch item per site x rhs tile, rows folded into the item: each
-  // stencil row is resolved (or dequantized) once per (row, tile) and
-  // streamed over the rhs axis unit-stride by coarse_row_mrhs_span (no
-  // gather, no per-rhs re-read — the amortization this subsystem exists
-  // for).  The per-row partial-sum shape — where the kernel config changes
-  // the numerics — is identical to coarse_row_span's, so results match
-  // apply_with_config bit-for-bit at the same config and precision axes.
-  //
-  // Width path: the scalar sub-tile walk becomes a pack-group walk — the
-  // whole sub-tile's full packs go through ONE coarse_row_mrhs_pack call
-  // (stencil elements read once per sub-tile, exactly like the scalar
-  // span), per-lane arithmetic identical to the scalar tile's per-k
-  // arithmetic, the tile % W remainder through the scalar span.
-  // rhs_block is clamped to a pack multiple first so no dispatch item
-  // ever splits a pack.
-  const int w = rhs_lane_width<T>(policy, nrhs);
-  if (w > 1) {
-    simd::dispatch_width(w, [&](auto wc) {
-      constexpr int W = decltype(wc)::value;
-      const LaunchPolicy p = align_rhs_block(policy, W);
-      parallel_for_2d_tiled(v, nrhs, p, [&](long site, long k0, long k1) {
-        long nbr[9];
-        site_nbrs(site, nbr);
-        Complex<TM> scratch[9 * Stencil::kScratchRow];
-        for (long t0 = k0; t0 < k1; t0 += kCoarseRowMaxTile) {
-          const int tile =
-              static_cast<int>(std::min<long>(kCoarseRowMaxTile, k1 - t0));
-          const int groups = tile / W;
-          const int rem = tile - groups * W;
-          const Complex<TX>* xin[9];
-          const Complex<TX>* xin_rem[9];
-          for (int m = 0; m < 9; ++m) {
-            xin[m] = in.site_data(nbr[m]) + t0;
-            xin_rem[m] = xin[m] + groups * W;
-          }
-          Complex<T>* dst = out.site_data(site) + t0;
-          for (int r = 0; r < n; ++r) {
-            const Complex<TM>* rows[9];
-            for (int m = 0; m < 9; ++m)
-              rows[m] = st.stencil_row(site, m, r,
-                                       scratch + m * Stencil::kScratchRow);
-            Complex<T>* const dr = dst + static_cast<long>(r) * nrhs;
-            if (groups > 0)
-              coarse_row_mrhs_pack_groups<T, TM, TX, W>(rows, xin, nrhs, n,
-                                                        config, groups, dr);
-            if (rem > 0)
-              coarse_row_mrhs_span<T, TM, TX>(rows, xin_rem, nrhs, n, config,
-                                              rem, dr + groups * W);
-          }
-        }
-      });
-    });
-  } else {
-    parallel_for_2d_tiled(v, nrhs, policy, [&](long site, long k0, long k1) {
-      long nbr[9];
-      site_nbrs(site, nbr);
-      Complex<TM> scratch[9 * Stencil::kScratchRow];
-      for (long t0 = k0; t0 < k1; t0 += kCoarseRowMaxTile) {
-        const int tile =
-            static_cast<int>(std::min<long>(kCoarseRowMaxTile, k1 - t0));
-        const Complex<TX>* xin[9];
-        for (int m = 0; m < 9; ++m) xin[m] = in.site_data(nbr[m]) + t0;
-        Complex<T>* dst = out.site_data(site) + t0;
-        for (int r = 0; r < n; ++r) {
-          const Complex<TM>* rows[9];
-          for (int m = 0; m < 9; ++m)
-            rows[m] =
-                st.stencil_row(site, m, r, scratch + m * Stencil::kScratchRow);
-          coarse_row_mrhs_span<T, TM, TX>(rows, xin, nrhs, n, config, tile,
-                                          dst + static_cast<long>(r) * nrhs);
-        }
-      }
-    });
-  }
-  if (policy.backend == Backend::SimtModel)
-    SimtStats::instance().record_work(coarse_op_work(
-        v * nrhs, n_, config, sim_precision<T>(storage_)));
-}
 
 namespace {
 
@@ -124,9 +22,42 @@ void check_block_shapes(const CoarseDirac<T>& op, const BlockSpinor<TOut>& out,
                         const BlockSpinor<TIn>& in) {
   if (in.subset() != Subset::Full || out.subset() != Subset::Full)
     throw std::invalid_argument("coarse apply_block needs full-subset blocks");
+  const long v = op.geometry()->volume();
   if (out.nrhs() != in.nrhs() || out.site_dof() != op.block_dim() ||
-      in.site_dof() != op.block_dim())
+      in.site_dof() != op.block_dim() || out.nsites() != v ||
+      in.nsites() != v)
     throw std::invalid_argument("coarse apply_block: block shape mismatch");
+}
+
+/// The batched apply over input vectors of storage type TX: one dispatch
+/// item per site x rhs tile, rows folded into the item, running the shared
+/// rhs-tile body (mg/coarse_stencil.h) at the rhs lane width of T.  The
+/// per-row partial-sum shape, where the kernel config changes the
+/// numerics, is identical to coarse_row_span's, so results match
+/// apply_with_config bit-for-bit at the same config and precision axes.
+template <typename T, typename TX>
+void apply_block_kernel(const CoarseDirac<T>& op, BlockSpinor<T>& out,
+                        const BlockSpinor<TX>& in,
+                        const CoarseKernelConfig& config,
+                        const LaunchPolicy& policy) {
+  const auto& geom = *op.geometry();
+  const long v = geom.volume();
+  const long nrhs = in.nrhs();
+  const auto nbrs = detail::stencil_neighbors(
+      geom, [&](long s) { return in.site_data(s); });
+  op.stencil().visit([&](const auto& st) {
+    detail::with_rhs_lanes<T>(policy, nrhs, [&](auto wc,
+                                                 const LaunchPolicy& p) {
+      constexpr int W = decltype(wc)::value;
+      parallel_for_2d_tiled(v, nrhs, p, [&](long site, long k0, long k1) {
+        detail::coarse_apply_rhs_tile<W, T, TX>(st, nbrs, site, k0, k1, nrhs,
+                                                out.site_data(site), config);
+      });
+    });
+  });
+  if (policy.backend == Backend::SimtModel)
+    SimtStats::instance().record_work(coarse_op_work(
+        v * nrhs, op.block_dim(), config, op.stencil().sim_precision()));
 }
 
 }  // namespace
@@ -137,21 +68,7 @@ void CoarseDirac<T>::apply_block_with_config(BlockField& out,
                                             const CoarseKernelConfig& config,
                                             const LaunchPolicy& policy) const {
   check_block_shapes(*this, out, in);
-  switch (storage_) {
-    case CoarseStorage::Single:
-      apply_block_with_config_st(
-          out, in, config, policy,
-          DenseStencil<float>{links_lo_.data(), diag_lo_.data(), n_});
-      break;
-    case CoarseStorage::Half16:
-      apply_block_with_config_st(out, in, config, policy,
-                                 HalfStencil{&half_, n_});
-      break;
-    default:
-      apply_block_with_config_st(
-          out, in, config, policy,
-          DenseStencil<T>{links_.data(), diag_.data(), n_});
-  }
+  apply_block_kernel(*this, out, in, config, policy);
 }
 
 template <typename T>
@@ -162,22 +79,7 @@ void CoarseDirac<T>::apply_block_staged(BlockField& out, const BlockField& in,
   // Low-precision rhs payload: one truncating copy of the block, then the
   // kernel streams float vectors (TX = float) while accumulating in T.
   // For T = float this degenerates to a copy of the plain batched apply.
-  const BlockSpinor<float> staged = convert_block<float>(in);
-  switch (storage_) {
-    case CoarseStorage::Single:
-      apply_block_with_config_st(
-          out, staged, config, policy,
-          DenseStencil<float>{links_lo_.data(), diag_lo_.data(), n_});
-      break;
-    case CoarseStorage::Half16:
-      apply_block_with_config_st(out, staged, config, policy,
-                                 HalfStencil{&half_, n_});
-      break;
-    default:
-      apply_block_with_config_st(
-          out, staged, config, policy,
-          DenseStencil<T>{links_.data(), diag_.data(), n_});
-  }
+  apply_block_kernel(*this, out, convert_block<float>(in), config, policy);
 }
 
 template <typename T>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "fields/blas.h"
 #include "parallel/autotune.h"
@@ -18,6 +19,10 @@ Multigrid<T>::Multigrid(const WilsonCloverOp<T>& fine_op, MgConfig config)
     : fine_op_(fine_op), config_(std::move(config)) {
   if (config_.levels.empty())
     throw std::invalid_argument("multigrid needs at least one coarsening");
+  if (config_.coarsest_ca_s < 0)
+    throw std::invalid_argument(
+        "MgConfig: coarsest_ca_s must be >= 0 (0 = autotune), got " +
+        std::to_string(config_.coarsest_ca_s));
   rebuild(/*reuse=*/false);
   // Record the probe baseline of this full setup — the reference every
   // later refresh is judged against.  Skipped when the refresh policy is

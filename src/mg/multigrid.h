@@ -82,7 +82,8 @@ struct MgConfig {
   CoarsestSolver coarsest_solver = CoarsestSolver::BlockGcr;
   // s-step depth for CoarsestSolver::CaGmres; 0 = autotune over {2, 4, 8}
   // per (coarsest geometry, nrhs) via the persistent TuneCache, measured on
-  // the first coarsest solve of that shape.
+  // the first coarsest solve of that shape.  Negative values are rejected
+  // when the hierarchy is built.
   int coarsest_ca_s = 4;
   std::uint64_t seed = 7;
   // Storage format of every coarse level's links/diag (paper section 4,

@@ -31,7 +31,7 @@ std::string SolveQueue::batch_key(const std::string& tenant,
                 static_cast<int>(spec.method), spec.tol, spec.max_iter,
                 spec.eo ? 1 : 0, static_cast<int>(spec.bicg_inner),
                 spec.nranks, static_cast<int>(spec.halo),
-                spec.halo_wire ? static_cast<int>(*spec.halo_wire) : -1,
+                static_cast<int>(spec.halo_wire),
                 spec.record_history ? 1 : 0);
   return tenant + buf;
 }

@@ -579,11 +579,11 @@ TEST(CaEndToEnd, ContextCaCoarsestSolveConverges) {
   options.roughness = 0.4;
   options.backend = Backend::Serial;
   options.threads = 1;
-  options.mg_coarsest_solver = CoarsestSolver::CaGmres;
-  options.mg_ca_s = 4;
   QmgContext ctx(options);
 
   MgConfig mg;
+  mg.coarsest_solver = CoarsestSolver::CaGmres;
+  mg.coarsest_ca_s = 4;
   MgLevelConfig level;
   level.block = {2, 2, 2, 2};
   level.nvec = 4;

@@ -62,11 +62,19 @@ TEST(Context, RejectsInvalidOptionsAtConstruction) {
     o.simd_width = 3;  // not in {0, 1, 2, 4, 8}
     EXPECT_THROW(QmgContext{o}, std::invalid_argument);
   }
-  {
-    auto o = small_options();
-    o.mg_ca_s = -2;
-    EXPECT_THROW(QmgContext{o}, std::invalid_argument);
-  }
+}
+
+TEST(Context, SetupMultigridRejectsNegativeCaDepth) {
+  // The CA s-depth is an MgConfig setting, checked when the hierarchy is
+  // built: a negative value throws instead of silently autotuning.
+  QmgContext ctx(small_options());
+  MgConfig mg;
+  MgLevelConfig level;
+  level.block = {2, 2, 2, 2};
+  mg.levels = {level};
+  mg.coarsest_ca_s = -2;
+  EXPECT_THROW(ctx.setup_multigrid(mg), std::invalid_argument);
+  EXPECT_FALSE(ctx.has_multigrid());
 }
 
 TEST(Context, SolveSpecUnifiedEntryPointMatchesLegacy) {

@@ -1,10 +1,7 @@
-// Tests for the section 9 "future work" features implemented as extensions:
-// the multiple-right-hand-side coarse apply and the communication-avoiding
-// (s-step) GMRES coarsest-grid solver.
+// Tests for the section 9 "future work" multiple-right-hand-side coarse
+// apply (the s-step coarsest solver's coverage lives in test_ca.cpp).
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "dirac/clover.h"
 #include "fields/blas.h"
@@ -14,8 +11,6 @@
 #include "mg/nullspace.h"
 #include "mg/stencil.h"
 #include "mg/transfer.h"
-#include "solvers/ca_gmres.h"
-#include "solvers/gcr.h"
 
 namespace qmg {
 namespace {
@@ -86,68 +81,6 @@ TEST(Mrhs, SizeMismatchThrows) {
   std::vector<ColorSpinorField<double>> in(2, f.coarse.create_vector());
   std::vector<ColorSpinorField<double>> out(1, f.coarse.create_vector());
   EXPECT_THROW(mrhs.apply(out, in), std::invalid_argument);
-}
-
-class CaGmresBasisDepth : public ::testing::TestWithParam<int> {};
-
-TEST_P(CaGmresBasisDepth, ConvergesOnCoarseOperator) {
-  auto& f = fixture();
-  auto b = f.coarse.create_vector();
-  b.gaussian(7);
-
-  SolverParams params;
-  params.tol = 1e-8;
-  params.max_iter = 2000;
-  auto x = f.coarse.create_vector();
-  CaGmresSolver<double> solver(f.coarse, params, GetParam());
-  const auto res = solver.solve(x, b);
-  ASSERT_TRUE(res.converged);
-
-  auto r = f.coarse.create_vector();
-  f.coarse.apply(r, x);
-  blas::xpay(b, -1.0, r);
-  EXPECT_LT(std::sqrt(blas::norm2(r) / blas::norm2(b)), 1e-7);
-}
-
-INSTANTIATE_TEST_SUITE_P(BasisDepths, CaGmresBasisDepth,
-                         ::testing::Values(2, 4, 6));
-
-TEST(CaGmres, MatchesGcrSolution) {
-  auto& f = fixture();
-  auto b = f.coarse.create_vector();
-  b.gaussian(9);
-
-  SolverParams params;
-  params.tol = 1e-10;
-  params.max_iter = 4000;
-  params.restart = 10;
-  auto x_gcr = f.coarse.create_vector();
-  GcrSolver<double>(f.coarse, params).solve(x_gcr, b);
-  auto x_ca = f.coarse.create_vector();
-  CaGmresSolver<double>(f.coarse, params, 4).solve(x_ca, b);
-
-  auto diff = x_gcr;
-  blas::axpy(-1.0, x_ca, diff);
-  EXPECT_LT(std::sqrt(blas::norm2(diff) / blas::norm2(x_gcr)), 1e-7);
-}
-
-TEST(CaGmres, FewerReductionsThanGcrAtEqualTolerance) {
-  auto& f = fixture();
-  auto b = f.coarse.create_vector();
-  b.gaussian(11);
-
-  SolverParams params;
-  params.tol = 1e-6;
-  params.max_iter = 2000;
-  params.restart = 10;
-  auto x = f.coarse.create_vector();
-  const auto r_gcr = GcrSolver<double>(f.coarse, params).solve(x, b);
-  blas::zero(x);
-  const auto r_ca = CaGmresSolver<double>(f.coarse, params, 4).solve(x, b);
-  ASSERT_TRUE(r_gcr.converged);
-  ASSERT_TRUE(r_ca.converged);
-  // The communication-avoiding point: far fewer synchronizations.
-  EXPECT_LT(r_ca.reductions, r_gcr.reductions / 2);
 }
 
 }  // namespace

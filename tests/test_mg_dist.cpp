@@ -8,8 +8,11 @@
 //   * the distributed K-cycle is bit-identical to the replicated one at a
 //     pinned kernel config (full-op, Schur-smoother and coarsest-solve
 //     dispatch), in Sync and Overlapped halo modes;
-//   * Half16 storage distributes: the rank-split quantized stencil applies
-//     bit-identically to the compressed single-rank operator;
+//   * every storage format distributes: at double and float precision, in
+//     both halo modes and at nrhs 1, 5 and 12, the rank-split stencil's
+//     single-rhs, batched and Schur applies are bit-identical per rhs to
+//     the replicated operator's;
+//   * the single-rhs applies reject fields of the wrong shape;
 //   * CommStats of nested Schur applies merge exactly once (message counts
 //     reconcile against the per-exchange cost measured directly).
 //
@@ -18,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "comm/dist_coarse.h"
@@ -364,63 +369,143 @@ TEST_F(MgDistTest, UnfactorableLevelsFallBackToReplicated) {
 
 // --- Half16 across the rank split -------------------------------------------
 
-TEST_F(MgDistTest, Half16DistributedApplyMatchesCompressedSingleRank) {
-  // Rebuild a compressed copy (the fixture operator stays native for the
-  // other suites).
-  const WilsonStencilView<double> view(*op_);
-  CoarseDirac<double> half(build_coarse_operator(view, *transfer_,
-                                                 CoarseStorage::Half16));
-  const CoarseKernelConfig config{Strategy::DotProduct, 3, 2, 2};
+// --- every storage format distributes ---------------------------------------
 
-  auto x = half.create_vector();
-  x.gaussian(431);
-  auto y_ref = half.create_vector();
-  half.apply_with_config(y_ref, x, config);
+/// (storage, float precision, nrhs, halo mode).
+using StorageCase = std::tuple<CoarseStorage, bool, int, HaloMode>;
 
-  const auto dec = make_decomposition(half.geometry(), 2);
-  const DistributedCoarseOp<double> dist(half, dec);
-  EXPECT_EQ(dist.storage(), CoarseStorage::Half16);
+class MgDistStorage : public MgDistTest,
+                      public ::testing::WithParamInterface<StorageCase> {
+ protected:
+  template <typename T>
+  static BlockSpinor<T> gaussian_block(const ColorSpinorField<T>& proto,
+                                       int nrhs, std::uint64_t seed) {
+    BlockSpinor<T> block(proto.geometry(), proto.nspin(), proto.ncolor(),
+                         nrhs, proto.subset());
+    for (int k = 0; k < nrhs; ++k) {
+      auto f = proto.similar();
+      f.gaussian(seed + static_cast<std::uint64_t>(k));
+      block.insert_rhs(f, k);
+    }
+    return block;
+  }
 
-  // Single-rhs distributed apply == compressed global apply, bitwise.
+  /// The rank split of `op` applied single-rhs, batched and as a Schur
+  /// complement, each compared bitwise per rhs with the replicated op.
+  template <typename T>
+  void expect_distributed_matches_replicated(const CoarseDirac<T>& op) {
+    const int nrhs = std::get<2>(GetParam());
+    const HaloMode mode = std::get<3>(GetParam());
+    const CoarseKernelConfig config{Strategy::DotProduct, 3, 2, 2};
+    const auto dec = make_decomposition(op.geometry(), 2);
+    const DistributedCoarseOp<T> dist(op, dec);
+    EXPECT_EQ(dist.storage(), op.storage());
+
+    auto x = op.create_vector();
+    x.gaussian(431);
+    auto y_ref = op.create_vector();
+    op.apply_with_config(y_ref, x, config);
+    auto dx = dist.create_vector();
+    dx.scatter(x);
+    auto dy = dist.create_vector();
+    dist.apply(dy, dx, config, nullptr, mode);
+    auto y = op.create_vector();
+    dy.gather(y);
+    EXPECT_TRUE(bits_equal(y, y_ref)) << "single-rhs apply";
+
+    const auto xb = gaussian_block(op.create_vector(), nrhs, 433);
+    auto yb_ref = xb.similar();
+    op.apply_block_with_config(yb_ref, xb, config, default_policy());
+    auto dxb = dist.create_block(nrhs);
+    dxb.scatter(xb);
+    auto dyb = dist.create_block(nrhs);
+    dist.apply_block(dyb, dxb, config, nullptr, mode);
+    auto yb = xb.similar();
+    dyb.gather(yb);
+    for (int k = 0; k < nrhs; ++k)
+      EXPECT_TRUE(bits_equal(yb.extract_rhs(k), yb_ref.extract_rhs(k)))
+          << "apply_block rhs=" << k;
+
+    const SchurCoarseOp<T> schur(op);
+    const DistributedSchurCoarseOp<T> dist_schur(schur, dist, mode);
+    const auto b_full = gaussian_block(op.create_vector(), nrhs, 439);
+    BlockSpinor<T> in = schur.create_block(nrhs);
+    schur.prepare_block(in, b_full);
+    BlockSpinor<T> ref = in.similar();
+    schur.apply_block(ref, in);
+    BlockSpinor<T> out = in.similar();
+    dist_schur.apply_block(out, in);
+    for (int k = 0; k < nrhs; ++k)
+      EXPECT_TRUE(bits_equal(out.extract_rhs(k), ref.extract_rhs(k)))
+          << "Schur apply_block rhs=" << k;
+  }
+};
+
+std::string storage_case_name(
+    const ::testing::TestParamInfo<StorageCase>& info) {
+  const auto [storage, use_float, nrhs, mode] = info.param;
+  return std::string(to_string(storage)) + (use_float ? "_f" : "_d") +
+         "_nrhs" + std::to_string(nrhs) +
+         (mode == HaloMode::Sync ? "_sync" : "_overlapped");
+}
+
+TEST_P(MgDistStorage, DistributedAppliesMatchReplicatedBitwise) {
+  // The default Threaded policy runs native rhs lanes: float at nrhs 5 is
+  // one lane pack plus a scalar remainder on the baseline ISA.
+  use_threaded(2);
+  const CoarseStorage storage = std::get<0>(GetParam());
+  if (std::get<1>(GetParam())) {
+    CoarseDirac<float> op = convert_coarse<float>(*coarse_);
+    op.compress_storage(storage);
+    expect_distributed_matches_replicated(op);
+  } else {
+    CoarseDirac<double> op = *coarse_;
+    op.compress_storage(storage);
+    expect_distributed_matches_replicated(op);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Storages, MgDistStorage,
+    ::testing::Combine(::testing::Values(CoarseStorage::Native,
+                                         CoarseStorage::Single,
+                                         CoarseStorage::Half16),
+                       ::testing::Bool(), ::testing::Values(1, 5, 12),
+                       ::testing::Values(HaloMode::Sync,
+                                         HaloMode::Overlapped)),
+    storage_case_name);
+
+// --- shape validation of the single-rhs applies ------------------------------
+
+TEST_F(MgDistTest, SingleRhsAppliesRejectMisshapenFields) {
+  const CoarseKernelConfig config{Strategy::ColorSpin, 1, 1, 2};
+  const int nspin = CoarseDirac<double>::kNSpin;
+  const int nc = coarse_->ncolor();
+  auto x = coarse_->create_vector();
+  auto y = coarse_->create_vector();
+  // site_dof != N would read past the field's end.
+  ColorSpinorField<double> wide(coarse_->geometry(), nspin, nc + 1);
+  EXPECT_THROW(coarse_->apply_with_config(y, wide, config),
+               std::invalid_argument);
+  EXPECT_THROW(coarse_->apply_with_config(wide, x, config),
+               std::invalid_argument);
+  ColorSpinorField<double> even(coarse_->geometry(), nspin, nc, Subset::Even);
+  EXPECT_THROW(coarse_->apply_with_config(y, even, config),
+               std::invalid_argument);
+  coarse_->set_kernel_config(config);
+  EXPECT_THROW(coarse_->apply(y, wide), std::invalid_argument);
+
+  const auto dec = make_decomposition(coarse_->geometry(), 2);
+  const DistributedCoarseOp<double> dist(*coarse_, dec);
   auto dx = dist.create_vector();
-  dx.scatter(x);
   auto dy = dist.create_vector();
-  dist.apply(dy, dx, config);
-  auto y = half.create_vector();
-  dy.gather(y);
-  EXPECT_TRUE(bits_equal(y, y_ref));
-
-  // Batched distributed apply == batched compressed global apply, per rhs.
-  const auto xb = random_block(half.create_vector(), 433);
-  auto yb_ref = xb.similar();
-  half.apply_block_with_config(yb_ref, xb, config, default_policy());
-  auto dxb = dist.create_block(kNRhs);
-  dxb.scatter(xb);
-  auto dyb = dist.create_block(kNRhs);
-  dist.apply_block(dyb, dxb, config);
-  auto yb = xb.similar();
-  dyb.gather(yb);
-  for (int k = 0; k < kNRhs; ++k)
-    EXPECT_TRUE(bits_equal(yb.extract_rhs(k), yb_ref.extract_rhs(k)))
-        << "rhs=" << k;
-
-  // The distributed Schur on Half16 reads the same float diag-inverse and
-  // dequantized link rows as the compressed global Schur.
-  if (!half.has_diag_inverse()) half.compute_diag_inverse();
-  const SchurCoarseOp<double> half_schur(half);
-  const DistributedCoarseOp<double> dist_inv(half, dec);
-  const DistributedSchurCoarseOp<double> dist_schur(half_schur, dist_inv,
-                                                    HaloMode::Sync);
-  const auto b_full = random_block(half.create_vector(), 439);
-  BlockSpinor<double> in = half_schur.create_block(kNRhs);
-  half_schur.prepare_block(in, b_full);
-  BlockSpinor<double> ref = in.similar();
-  half_schur.apply_block(ref, in);
-  BlockSpinor<double> out = in.similar();
-  dist_schur.apply_block(out, in);
-  for (int k = 0; k < kNRhs; ++k)
-    EXPECT_TRUE(bits_equal(out.extract_rhs(k), ref.extract_rhs(k)))
-        << "rhs=" << k;
+  DistributedSpinor<double> dwide(dec, nspin, nc + 1);
+  EXPECT_THROW(dist.apply(dy, dwide, config), std::invalid_argument);
+  EXPECT_THROW(dist.apply(dwide, dx, config), std::invalid_argument);
+  // A field of another decomposition has another ghost layout.
+  DistributedSpinor<double> dother(
+      make_decomposition(coarse_->geometry(), 2), nspin, nc);
+  EXPECT_THROW(dist.apply(dy, dother, config), std::invalid_argument);
 }
 
 // --- CommStats accounting ----------------------------------------------------
