@@ -30,7 +30,7 @@ int run_mg(QmgContext& ctx, const ColorSpinorField<double>& b, int passes,
   mg.levels = {l1, l2};
   ctx.setup_multigrid(mg);
   auto x = ctx.create_vector();
-  const auto r = ctx.solve_mg(x, b, tol, 200);
+  const auto r = ctx.solve(x, b, bench::solve_spec(tol, 200)).result();
   return r.iterations;
 }
 
@@ -58,7 +58,10 @@ int main(int argc, char** argv) {
     b.gaussian(77);
 
     auto x = ctx.create_vector();
-    const auto rb = ctx.solve_bicgstab(x, b, tol, 4000);
+    const auto rb =
+        ctx.solve(x, b,
+                  bench::solve_spec(tol, 4000, SolveMethod::BiCgStab))
+            .result();
 
     const int it0 = run_mg(ctx, b, 0, tol);
     const int it1 = run_mg(ctx, b, 1, tol);

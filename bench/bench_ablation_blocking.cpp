@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     ctx.setup_multigrid(mg);
 
     auto x = ctx.create_vector();
-    const auto r = ctx.solve_mg(x, b, 1e-7, 1000);
+    const auto r = ctx.solve(x, b, bench::solve_spec(1e-7, 1000)).result();
     std::printf("%dx%dx%dx%-6d %-13ld %-10d %-11.1f %-12.2f %-14d\n",
                 block[0], block[1], block[2], block[3], coarse_sites,
                 r.iterations, ctx.mg_setup_seconds(), r.seconds, 2 * 12);

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
       hierarchy.op(lev).reset_apply_count();
 
     auto x = ctx.create_vector();
-    const auto r = ctx.solve_mg(x, b, 1e-8, 2000);
+    const auto r = ctx.solve(x, b, bench::solve_spec(1e-8, 2000)).result();
     std::printf("%-9s %-12d %-11.2f %-14ld %-14ld\n",
                 cycle == CycleType::KCycle ? "K-cycle" : "V-cycle",
                 r.iterations, r.seconds, hierarchy.op(0).apply_count(),

@@ -42,7 +42,9 @@ int main(int argc, char** argv) {
     b.gaussian(31);
 
     auto x = ctx.create_vector();
-    const auto rb = ctx.solve_bicgstab(x, b, tol, cap);
+    const auto rb =
+        ctx.solve(x, b, bench::solve_spec(tol, cap, SolveMethod::BiCgStab))
+            .result();
 
     SolverParams cp;
     cp.tol = tol;
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
     mg.levels = {level};
     ctx.setup_multigrid(mg);
     auto x_mg = ctx.create_vector();
-    const auto rm = ctx.solve_mg(x_mg, b, tol, 300);
+    const auto rm = ctx.solve(x_mg, b, bench::solve_spec(tol, 300)).result();
 
     char bicg_buf[16], cgnr_buf[16];
     std::snprintf(bicg_buf, sizeof(bicg_buf), "%s%d",

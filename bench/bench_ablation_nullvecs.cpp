@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     mg.levels = {level};
     ctx.setup_multigrid(mg);
     auto x = ctx.create_vector();
-    const auto r = ctx.solve_mg(x, b, 1e-7, 1000);
+    const auto r = ctx.solve(x, b, bench::solve_spec(1e-7, 1000)).result();
     const double flops = ctx.multigrid().coarse_op(0).flops_per_apply();
     std::printf("%-7d %-10d %-11.1f %-12.2f %-18.3g %-22.1f\n", nvec,
                 r.iterations, ctx.mg_setup_seconds(), r.seconds, flops,

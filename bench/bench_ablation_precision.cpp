@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench/common.h"
+#include "solvers/block_gcr.h"
 
 using namespace qmg;
 
@@ -46,7 +47,9 @@ int main(int argc, char** argv) {
   }
   for (const auto inner : {InnerPrecision::Single, InnerPrecision::Half}) {
     auto x = ctx.create_vector();
-    const auto r = ctx.solve_bicgstab(x, b, tol, 100000, inner);
+    SolveSpec spec = bench::solve_spec(tol, 100000, SolveMethod::BiCgStab);
+    spec.bicg_inner = inner;
+    const auto r = ctx.solve(x, b, spec).result();
     std::printf("%-22s %-11d %-12.1e %-12s\n",
                 inner == InnerPrecision::Single ? "single" : "half (16-bit)",
                 r.iterations, r.final_rel_residual,
@@ -66,20 +69,23 @@ int main(int argc, char** argv) {
   {
     // Double-precision hierarchy.
     const Multigrid<double> hierarchy(ctx.op(), mg);
-    MgPreconditioner<double> precond(hierarchy);
+    MgBlockPreconditioner<double> precond(hierarchy);
     SolverParams sp;
     sp.tol = tol;
     sp.max_iter = 500;
     sp.restart = 10;
-    auto x = ctx.create_vector();
-    const auto r = GcrSolver<double>(ctx.op(), sp, &precond).solve(x, b);
+    const auto b_block = pack_block(std::vector{b});
+    auto x = b_block.similar();
+    const auto r = BlockGcrSolver<double>(ctx.op(), sp, &precond)
+                       .solve(x, b_block)
+                       .rhs.front();
     std::printf("%-22s %-11d %-12.1e\n", "double", r.iterations,
                 r.final_rel_residual);
   }
   {
     ctx.setup_multigrid(mg);  // single-precision hierarchy (paper layout)
     auto x = ctx.create_vector();
-    const auto r = ctx.solve_mg(x, b, tol, 500);
+    const auto r = ctx.solve(x, b, bench::solve_spec(tol, 500)).result();
     std::printf("%-22s %-11d %-12.1e\n", "single (paper)", r.iterations,
                 r.final_rel_residual);
   }

@@ -4,7 +4,8 @@
 //   smoother:  N streamed single-rhs MR solves on the coarse Schur system
 //              vs ONE masked block-MR solve (solvers/block_mr.h), the last
 //              stage of the K-cycle to go batched;
-//   cycle:     N streamed single-rhs K-cycles vs one batched cycle_block,
+//   cycle:     N streamed K-cycles, each on a block of one (a single
+//              rhs), vs one batched cycle_block over all N,
 //              then the batched cycle with its coarse levels dispatched
 //              through DistributedCoarseOp splits (Sync and Overlapped
 //              halo modes) — the virtual-rank run adds pack/copy work on
@@ -39,7 +40,7 @@ struct SmootherRow {
 
 struct CycleRow {
   int nrhs = 0;
-  double streamed_ms = 0;      // nrhs single-rhs cycles
+  double streamed_ms = 0;      // nrhs cycles on blocks of one
   double block_ms = 0;         // one batched cycle, replicated
   double dist_sync_ms = 0;     // batched cycle, distributed coarse, Sync
   double dist_overlap_ms = 0;  // batched cycle, distributed coarse, Overlapped
@@ -128,9 +129,11 @@ int main(int argc, char** argv) {
   std::vector<CycleRow> cycle_rows;
   for (const int nrhs : rhs_counts) {
     std::vector<ColorSpinorField<float>> b_fields;
+    std::vector<BlockSpinor<float>> b_ones;
     for (int k = 0; k < nrhs; ++k) {
       b_fields.push_back(mg.op(0).create_vector());
       b_fields.back().gaussian(200 + static_cast<std::uint64_t>(k));
+      b_ones.push_back(pack_block(std::vector{b_fields.back()}));
     }
     const BlockSpinor<float> b_block = pack_block(b_fields);
     CycleRow row;
@@ -138,9 +141,8 @@ int main(int argc, char** argv) {
 
     for (int pass = -1; pass < reps; ++pass) {
       Timer t;
-      auto x_k = mg.op(0).create_vector();
-      for (int k = 0; k < nrhs; ++k)
-        mg.cycle(0, x_k, b_fields[static_cast<size_t>(k)]);
+      auto x_k = mg.op(0).create_block(1);
+      for (const auto& b_k : b_ones) mg.cycle_block(0, x_k, b_k);
       if (pass >= 0) row.streamed_ms += t.seconds() * 1e3;
     }
     for (int pass = -1; pass < reps; ++pass) {

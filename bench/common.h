@@ -60,6 +60,17 @@ struct ProxyMeasurement {
   int levels = 0;
 };
 
+/// A single-rhs solve request: `method` to relative residual `tol` within
+/// `max_iter` iterations.
+inline SolveSpec solve_spec(double tol, int max_iter,
+                            SolveMethod method = SolveMethod::Mg) {
+  SolveSpec spec;
+  spec.method = method;
+  spec.tol = tol;
+  spec.max_iter = max_iter;
+  return spec;
+}
+
 /// Run the BiCGStab baseline on the ensemble's proxy lattice.  The iteration
 /// cap keeps the bench bounded even if the proxy is pushed deep into the
 /// critical regime.
@@ -70,7 +81,9 @@ inline BicgMeasurement measure_bicgstab(const EnsembleSpec& ensemble,
   auto b = ctx.create_vector();
   b.gaussian(4242);
   auto x = ctx.create_vector();
-  const auto rb = ctx.solve_bicgstab(x, b, tol, max_iter);
+  const auto rb =
+      ctx.solve(x, b, solve_spec(tol, max_iter, SolveMethod::BiCgStab))
+          .result();
   BicgMeasurement m;
   m.iterations = rb.iterations;
   m.seconds = rb.seconds;
@@ -122,7 +135,7 @@ inline ProxyMeasurement measure_proxy(const EnsembleSpec& ensemble,
   ctx.op_single().reset_apply_count();
   ctx.op().reset_apply_count();
   auto x_mg = ctx.create_vector();
-  const auto rm = ctx.solve_mg(x_mg, b, tol, 300);
+  const auto rm = ctx.solve(x_mg, b, solve_spec(tol, 300)).result();
   m.mg_outer_iterations = rm.iterations;
   m.mg_seconds = rm.seconds;
   const double outer = std::max(1.0, m.mg_outer_iterations);

@@ -1,10 +1,11 @@
 #include "core/context.h"
 
+#include <algorithm>
+
 #include "comm/dist_wilson.h"
 #include "fields/blas.h"
 #include "parallel/autotune.h"
 #include "solvers/block_gcr.h"
-#include "solvers/gcr.h"
 #include "util/logger.h"
 #include "util/timer.h"
 
@@ -206,52 +207,52 @@ SolveReport report_shell(const SolveSpec& spec, int nrhs) {
 
 }  // namespace
 
+void QmgContext::check_solve_field(const ColorSpinorField<double>& f,
+                                   const char* name) const {
+  const bool same_lattice = f.geometry()->dims() == geom_->dims();
+  if (!same_lattice || f.subset() != Subset::Full || f.nspin() != 4 ||
+      f.ncolor() != 3)
+    throw std::invalid_argument(
+        std::string("solve: ") + name +
+        " must be a full-lattice field with 4 spins and 3 colours on the "
+        "context's lattice (create_vector()), got a " +
+        to_string(f.subset()) + " field with " + std::to_string(f.nspin()) +
+        " spins and " + std::to_string(f.ncolor()) + " colours" +
+        (same_lattice ? "" : " on another lattice"));
+}
+
 SolveReport QmgContext::solve(ColorSpinorField<double>& x,
                               const ColorSpinorField<double>& b,
                               const SolveSpec& spec) {
-  if (spec.method == SolveMethod::Mg && spec.nranks > 0) {
-    // Distributed solves run the block machinery; a single rhs is a
-    // batch of one (same kernels, nrhs = 1).
-    std::vector<ColorSpinorField<double>> xs, bs;
-    xs.push_back(x.similar());
-    bs.push_back(b);
-    SolveReport rep = solve(xs, bs, spec);
-    x = std::move(xs.front());
+  check_solve_field(x, "x");
+  check_solve_field(b, "b");
+  if (spec.method == SolveMethod::Mg) {
+    // A single rhs is a block of one, which has exactly a field's layout:
+    // b is copied into one block and the solution straight out into x.
+    BlockSpinor<double> b_block(geom_, 4, 3, 1);
+    std::copy(b.data(), b.data() + b.size(), b_block.data());
+    BlockSpinor<double> x_block = b_block.similar();
+    SolveReport rep = solve_block(x_block, b_block, spec);
+    std::copy(x_block.data(), x_block.data() + x_block.size(), x.data());
     return rep;
   }
+  if (spec.nranks > 0)
+    throw std::invalid_argument(
+        "solve: distributed execution requires SolveMethod::Mg");
   const SolverParams params = params_for(spec);
   SolveReport rep = report_shell(spec, 1);
   blas::zero(x);
-  if (spec.method == SolveMethod::BiCgStab) {
-    if (spec.eo) {
-      auto b_hat = schur_d_->create_vector();
-      schur_d_->prepare(b_hat, b);
-      auto x_e = schur_d_->create_vector();
-      blas::zero(x_e);
-      MixedPrecisionBiCgStab solver(*schur_d_, *schur_f_, params,
-                                    spec.bicg_inner);
-      rep.rhs.push_back(solver.solve(x_e, b_hat));
-      schur_d_->reconstruct(x, x_e, b);
-    } else {
-      MixedPrecisionBiCgStab solver(*op_d_, *op_f_, params, spec.bicg_inner);
-      rep.rhs.push_back(solver.solve(x, b));
-    }
+  if (spec.eo) {
+    auto b_hat = schur_d_->create_vector();
+    schur_d_->prepare(b_hat, b);
+    auto x_e = schur_d_->create_vector();
+    MixedPrecisionBiCgStab solver(*schur_d_, *schur_f_, params,
+                                  spec.bicg_inner);
+    rep.rhs.push_back(solver.solve(x_e, b_hat));
+    schur_d_->reconstruct(x, x_e, b);
   } else {
-    if (!mg_) throw std::runtime_error("setup_multigrid() not called");
-    rep.mg_setup = mg_->setup_timings();
-    if (spec.eo) {
-      auto b_hat = schur_d_->create_vector();
-      schur_d_->prepare(b_hat, b);
-      auto x_e = schur_d_->create_vector();
-      SchurMixedMgPreconditioner precond(*mg_);
-      rep.rhs.push_back(
-          GcrSolver<double>(*schur_d_, params, &precond).solve(x_e, b_hat));
-      schur_d_->reconstruct(x, x_e, b);
-    } else {
-      MixedPrecisionMgPreconditioner precond(*mg_);
-      rep.rhs.push_back(
-          GcrSolver<double>(*op_d_, params, &precond).solve(x, b));
-    }
+    MixedPrecisionBiCgStab solver(*op_d_, *op_f_, params, spec.bicg_inner);
+    rep.rhs.push_back(solver.solve(x, b));
   }
   rep.seconds = rep.rhs.front().seconds;
   return rep;
@@ -262,31 +263,38 @@ SolveReport QmgContext::solve(std::vector<ColorSpinorField<double>>& x,
                               const SolveSpec& spec) {
   if (x.size() != b.size() || b.empty())
     throw std::invalid_argument("solve: x/b size mismatch or empty");
+  for (size_t k = 0; k < b.size(); ++k) {
+    check_solve_field(x[k], "x");
+    check_solve_field(b[k], "b");
+  }
   const int nrhs = static_cast<int>(b.size());
-  SolveReport rep = report_shell(spec, nrhs);
 
   if (spec.method == SolveMethod::BiCgStab) {
     // No batched BiCGStab kernel exists: stream the rhs (documented).
-    if (spec.nranks > 0)
-      throw std::invalid_argument(
-          "solve: distributed execution requires SolveMethod::Mg");
-    SolveSpec single = spec;
-    double seconds = 0;
+    SolveReport rep = report_shell(spec, nrhs);
     for (int k = 0; k < nrhs; ++k) {
       const SolveReport r =
-          solve(x[static_cast<size_t>(k)], b[static_cast<size_t>(k)], single);
+          solve(x[static_cast<size_t>(k)], b[static_cast<size_t>(k)], spec);
       rep.rhs.push_back(r.result());
-      seconds += r.seconds;
+      rep.seconds += r.seconds;
     }
-    rep.seconds = seconds;
     return rep;
   }
 
-  if (!mg_) throw std::runtime_error("setup_multigrid() not called");
-  rep.mg_setup = mg_->setup_timings();
-  const SolverParams params = params_for(spec);
   const BlockSpinor<double> b_block = pack_block(b);
   BlockSpinor<double> x_block = b_block.similar();
+  SolveReport rep = solve_block(x_block, b_block, spec);
+  unpack_block(x, x_block);
+  return rep;
+}
+
+SolveReport QmgContext::solve_block(BlockSpinor<double>& x_block,
+                                    const BlockSpinor<double>& b_block,
+                                    const SolveSpec& spec) {
+  if (!mg_) throw std::runtime_error("setup_multigrid() not called");
+  SolveReport rep = report_shell(spec, b_block.nrhs());
+  rep.mg_setup = mg_->setup_timings();
+  const SolverParams params = params_for(spec);
   BlockSolverResult res;
 
   if (spec.nranks > 0) {
@@ -328,66 +336,11 @@ SolveReport QmgContext::solve(std::vector<ColorSpinorField<double>>& x,
     res = BlockGcrSolver<double>(*op_d_, params, &precond)
               .solve(x_block, b_block);
   }
-  unpack_block(x, x_block);
   rep.rhs = std::move(res.rhs);
   rep.block_matvecs = res.block_matvecs;
   rep.block_reductions = res.block_reductions;
   rep.seconds = res.seconds;
   return rep;
-}
-
-// --- legacy wrappers (all delegate to the SolveSpec path) -------------------
-
-SolverResult QmgContext::solve_mg(ColorSpinorField<double>& x,
-                                  const ColorSpinorField<double>& b,
-                                  double tol, int max_iter, bool eo) {
-  SolveSpec spec;
-  spec.method = SolveMethod::Mg;
-  spec.tol = tol;
-  spec.max_iter = max_iter;
-  spec.eo = eo;
-  return solve(x, b, spec).result();
-}
-
-SolverResult QmgContext::solve_bicgstab(ColorSpinorField<double>& x,
-                                        const ColorSpinorField<double>& b,
-                                        double tol, int max_iter,
-                                        InnerPrecision inner, bool eo) {
-  SolveSpec spec;
-  spec.method = SolveMethod::BiCgStab;
-  spec.tol = tol;
-  spec.max_iter = max_iter;
-  spec.bicg_inner = inner;
-  spec.eo = eo;
-  return solve(x, b, spec).result();
-}
-
-BlockSolverResult QmgContext::solve_mg_block(
-    std::vector<ColorSpinorField<double>>& x,
-    const std::vector<ColorSpinorField<double>>& b, double tol, int max_iter,
-    bool eo) {
-  SolveSpec spec;
-  spec.method = SolveMethod::Mg;
-  spec.tol = tol;
-  spec.max_iter = max_iter;
-  spec.eo = eo;
-  return solve(x, b, spec).as_block_result();
-}
-
-BlockSolverResult QmgContext::solve_mg_block_distributed(
-    std::vector<ColorSpinorField<double>>& x,
-    const std::vector<ColorSpinorField<double>>& b, double tol, int nranks,
-    CommStats* comm, int max_iter, HaloMode mode, CommStats* coarse_comm) {
-  SolveSpec spec;
-  spec.method = SolveMethod::Mg;
-  spec.tol = tol;
-  spec.max_iter = max_iter;
-  spec.nranks = nranks;
-  spec.halo = mode;
-  const SolveReport rep = solve(x, b, spec);
-  if (comm) *comm += rep.comm;
-  if (coarse_comm) *coarse_comm += rep.coarse_comm;
-  return rep.as_block_result();
 }
 
 double QmgContext::solver_error(const ColorSpinorField<double>& x,

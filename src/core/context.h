@@ -115,10 +115,12 @@ class QmgContext {
   /// even-odd preconditioning, distributed-execution knobs — with x
   /// overwritten from a zero guess.  SolveMethod::Mg runs the paper's
   /// configuration (double outer GCR over the single-precision K-cycle,
-  /// on the Schur system when spec.eo); SolveMethod::BiCgStab runs the
-  /// mixed-precision baseline.  With spec.nranks > 0 the solve routes
-  /// through the distributed path (see the block overload).  The report
-  /// owns all statistics, communication included.
+  /// on the Schur system when spec.eo) as the batched solve of the
+  /// multi-rhs overload on a block of one; SolveMethod::BiCgStab runs the
+  /// mixed-precision baseline.  The report owns all statistics,
+  /// communication included.  Both overloads throw std::invalid_argument
+  /// unless every x and b is a full-lattice fine-grid field on the
+  /// context's lattice (create_vector()).
   [[nodiscard]] SolveReport solve(ColorSpinorField<double>& x,
                                   const ColorSpinorField<double>& b,
                                   const SolveSpec& spec = SolveSpec{});
@@ -140,40 +142,6 @@ class QmgContext {
       std::vector<ColorSpinorField<double>>& x,
       const std::vector<ColorSpinorField<double>>& b,
       const SolveSpec& spec = SolveSpec{});
-
-  // --- legacy entry points (thin wrappers over solve(..., SolveSpec)) ----
-
-  /// Legacy wrapper: MG-preconditioned GCR.  Delegates to solve() with
-  /// SolveMethod::Mg.
-  SolverResult solve_mg(ColorSpinorField<double>& x,
-                        const ColorSpinorField<double>& b, double tol,
-                        int max_iter = 1000, bool eo = true);
-
-  /// Legacy wrapper: mixed-precision BiCGStab.  Delegates to solve() with
-  /// SolveMethod::BiCgStab.
-  SolverResult solve_bicgstab(ColorSpinorField<double>& x,
-                              const ColorSpinorField<double>& b, double tol,
-                              int max_iter = 100000,
-                              InnerPrecision inner = InnerPrecision::Half,
-                              bool eo = true);
-
-  /// Legacy wrapper: the batched block solve.  Delegates to solve() with
-  /// SolveMethod::Mg on the whole batch.
-  BlockSolverResult solve_mg_block(std::vector<ColorSpinorField<double>>& x,
-                                   const std::vector<ColorSpinorField<double>>& b,
-                                   double tol, int max_iter = 1000,
-                                   bool eo = true);
-
-  /// Legacy wrapper: the distributed batched block solve.  Delegates to
-  /// solve() with SolveMethod::Mg and spec.nranks = nranks; the report's
-  /// owned communication is copied back out through the historical
-  /// `comm` / `coarse_comm` out-params (`coarse_comm` receives only the
-  /// coarse-level share, already included in `comm`).
-  BlockSolverResult solve_mg_block_distributed(
-      std::vector<ColorSpinorField<double>>& x,
-      const std::vector<ColorSpinorField<double>>& b, double tol, int nranks,
-      CommStats* comm = nullptr, int max_iter = 1000,
-      HaloMode mode = HaloMode::Overlapped, CommStats* coarse_comm = nullptr);
 
   /// Persist / restore the process-wide TuneCache (kernel configs, launch
   /// backends and rhs-blockings).  Returns false on I/O or format errors —
@@ -204,6 +172,13 @@ class QmgContext {
   }
 
  private:
+  /// The batched MG solve behind both solve() overloads.
+  SolveReport solve_block(BlockSpinor<double>& x_block,
+                          const BlockSpinor<double>& b_block,
+                          const SolveSpec& spec);
+  void check_solve_field(const ColorSpinorField<double>& f,
+                         const char* name) const;
+
   ContextOptions options_;
   GeometryPtr geom_;
   GaugeField<double> gauge_d_;

@@ -7,10 +7,7 @@
 // knobs (virtual rank count, halo overlap mode, wire precision) —
 // and one SolveReport carries everything a solve can tell its caller:
 // per-rhs solver results, batch-level matvec/sync counts, and OWNED
-// communication statistics with the coarse-level share broken out.  This
-// replaces the four divergent QmgContext entry points with positional
-// out-param tails (solve_mg / solve_bicgstab / solve_mg_block /
-// solve_mg_block_distributed), which survive as thin delegating wrappers.
+// communication statistics with the coarse-level share broken out.
 
 #include <stdexcept>
 #include <vector>
@@ -41,8 +38,7 @@ struct SolveSpec {
   int max_iter = 0;
   // Solve the even-odd Schur system and reconstruct (the paper's
   // "red-black preconditioning is almost always used").  Distributed Mg
-  // solves currently run the full-system outer solve and ignore this flag
-  // (matching the legacy solve_mg_block_distributed).
+  // solves currently run the full-system outer solve and ignore this flag.
   bool eo = true;
   // Inner precision of the BiCgStab method (ignored by Mg).
   InnerPrecision bicg_inner = InnerPrecision::Half;
@@ -72,10 +68,10 @@ inline bool batch_compatible(const SolveSpec& a, const SolveSpec& b) {
          a.record_history == b.record_history;
 }
 
-/// Everything a solve reports, single- and multi-rhs alike.  Replaces the
-/// positional CommStats* / coarse_comm out-param tail: the communication of
-/// a distributed solve is OWNED by the report, with the coarse-level share
-/// broken out as a subset (already included in `comm`; do not add them).
+/// Everything a solve reports, single- and multi-rhs alike.  The
+/// communication of a distributed solve is OWNED by the report, with the
+/// coarse-level share broken out as a subset (already included in `comm`;
+/// do not add them).
 struct SolveReport {
   SolveMethod method = SolveMethod::Mg;
   int nrhs = 0;
@@ -123,15 +119,6 @@ struct SolveReport {
     if (rhs.empty())
       throw std::logic_error("SolveReport::result(): empty report");
     return rhs.front();
-  }
-  /// The legacy block-result shape (for the delegating wrappers).
-  BlockSolverResult as_block_result() const {
-    BlockSolverResult r;
-    r.rhs = rhs;
-    r.block_matvecs = block_matvecs;
-    r.block_reductions = block_reductions;
-    r.seconds = seconds;
-    return r;
   }
 };
 

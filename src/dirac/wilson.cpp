@@ -16,12 +16,12 @@ namespace {
 /// Hopping term over a site range.  `site_of` maps output index -> full
 /// lattice index; `in_index_of` maps a neighbor's full index -> site index
 /// in the input field (identity for full fields, checkerboard index for
-/// parity fields).
-template <typename T, typename Gauge, typename SiteOf, typename InIndexOf>
-void hopping_kernel(ColorSpinorField<T>& out, const ColorSpinorField<T>& in,
-                    const Gauge& gauge, const LatticeGeometry& geom,
-                    long n_out, SiteOf site_of, InIndexOf in_index_of,
-                    T anisotropy) {
+/// parity fields).  Out and In are fields or blocks of one.
+template <typename Out, typename In, typename Gauge, typename SiteOf,
+          typename InIndexOf, typename T>
+void hopping_kernel(Out& out, const In& in, const Gauge& gauge,
+                    const LatticeGeometry& geom, long n_out, SiteOf site_of,
+                    InIndexOf in_index_of, T anisotropy) {
   const auto& algebra = GammaAlgebra::instance();
   parallel_for(n_out, [&](long i) {
     const long x = site_of(i);
@@ -278,44 +278,49 @@ double WilsonCloverOp<T>::flops_per_apply() const {
 }
 
 template <typename T>
-void WilsonCloverOp<T>::apply_hopping(Field& out, const Field& in) const {
+template <typename F>
+void WilsonCloverOp<T>::dslash(F& out, const F& in) const {
   assert(in.subset() == Subset::Full && out.subset() == Subset::Full);
   const auto& geom = *gauge_.geometry();
-  auto site_of = [](long i) { return i; };
-  auto in_index_of = [](long f) { return f; };
-  if (compressed_)
-    hopping_kernel(out, in, *compressed_, geom, geom.volume(), site_of,
-                   in_index_of, params_.anisotropy);
-  else
-    hopping_kernel(out, in, gauge_, geom, geom.volume(), site_of, in_index_of,
+  auto identity = [](long i) { return i; };
+  with_links([&](const auto& links) {
+    hopping_kernel(out, in, links, geom, geom.volume(), identity, identity,
                    params_.anisotropy);
+  });
+  // out = diag*in - hop*in.
+  const T shift = T(4) + params_.mass;
+  parallel_for(geom.volume(), [&](long i) {
+    const Complex<T>* src = in.site_data(i);
+    Complex<T>* dst = out.site_data(i);
+    Complex<T> diag[12];
+    for (int k = 0; k < 12; ++k) diag[k] = shift * src[k];
+    if (clover_) {
+      clover_multiply_add<T>(clover_->block(i, 0), src, diag);
+      clover_multiply_add<T>(clover_->block(i, 1), src + 6, diag + 6);
+    }
+    for (int k = 0; k < 12; ++k) dst[k] = diag[k] - dst[k];
+  });
 }
 
 template <typename T>
-void WilsonCloverOp<T>::apply_hopping_parity(Field& out, const Field& in,
-                                             int out_parity) const {
-  assert(out.subset() == (out_parity ? Subset::Odd : Subset::Even));
-  assert(in.subset() == (out_parity ? Subset::Even : Subset::Odd));
+template <typename Out, typename In>
+void WilsonCloverOp<T>::hopping_parity(Out& out, const In& in,
+                                       int out_parity) const {
   const auto& geom = *gauge_.geometry();
   auto site_of = [&](long i) { return geom.full_index(out_parity, i); };
   auto in_index_of = [&](long f) { return geom.cb_index(f); };
-  if (compressed_)
-    hopping_kernel(out, in, *compressed_, geom, geom.half_volume(), site_of,
+  with_links([&](const auto& links) {
+    hopping_kernel(out, in, links, geom, geom.half_volume(), site_of,
                    in_index_of, params_.anisotropy);
-  else
-    hopping_kernel(out, in, gauge_, geom, geom.half_volume(), site_of,
-                   in_index_of, params_.anisotropy);
+  });
 }
 
 template <typename T>
-void WilsonCloverOp<T>::apply_diag(Field& out, const Field& in,
-                                   int parity) const {
+template <typename Out, typename In>
+void WilsonCloverOp<T>::diag(Out& out, const In& in, int parity) const {
   const auto& geom = *gauge_.geometry();
   const T shift = T(4) + params_.mass;
-  const long n = in.nsites();
-  assert(parity >= 0 ? in.subset() != Subset::Full
-                     : in.subset() == Subset::Full);
-  parallel_for(n, [&](long i) {
+  parallel_for(in.nsites(), [&](long i) {
     const Complex<T>* src = in.site_data(i);
     Complex<T>* dst = out.site_data(i);
     for (int k = 0; k < 12; ++k) dst[k] = shift * src[k];
@@ -328,8 +333,9 @@ void WilsonCloverOp<T>::apply_diag(Field& out, const Field& in,
 }
 
 template <typename T>
-void WilsonCloverOp<T>::apply_diag_inverse(Field& out, const Field& in,
-                                           int parity) const {
+template <typename Out, typename In>
+void WilsonCloverOp<T>::diag_inverse(Out& out, const In& in,
+                                     int parity) const {
   const auto& geom = *gauge_.geometry();
   const long n = in.nsites();
   if (clover_) {
@@ -352,23 +358,31 @@ void WilsonCloverOp<T>::apply_diag_inverse(Field& out, const Field& in,
 }
 
 template <typename T>
+void WilsonCloverOp<T>::apply_hopping_parity(Field& out, const Field& in,
+                                             int out_parity) const {
+  assert(out.subset() == (out_parity ? Subset::Odd : Subset::Even));
+  assert(in.subset() == (out_parity ? Subset::Even : Subset::Odd));
+  hopping_parity(out, in, out_parity);
+}
+
+template <typename T>
+void WilsonCloverOp<T>::apply_diag(Field& out, const Field& in,
+                                   int parity) const {
+  assert(parity >= 0 ? in.subset() != Subset::Full
+                     : in.subset() == Subset::Full);
+  diag(out, in, parity);
+}
+
+template <typename T>
+void WilsonCloverOp<T>::apply_diag_inverse(Field& out, const Field& in,
+                                           int parity) const {
+  diag_inverse(out, in, parity);
+}
+
+template <typename T>
 void WilsonCloverOp<T>::apply(Field& out, const Field& in) const {
   this->count_apply();
-  apply_hopping(out, in);
-  // out = diag*in - hop*in.
-  const auto& geom = *gauge_.geometry();
-  const T shift = T(4) + params_.mass;
-  parallel_for(geom.volume(), [&](long i) {
-    const Complex<T>* src = in.site_data(i);
-    Complex<T>* dst = out.site_data(i);
-    Complex<T> diag[12];
-    for (int k = 0; k < 12; ++k) diag[k] = shift * src[k];
-    if (clover_) {
-      clover_multiply_add<T>(clover_->block(i, 0), src, diag);
-      clover_multiply_add<T>(clover_->block(i, 1), src + 6, diag + 6);
-    }
-    for (int k = 0; k < 12; ++k) dst[k] = diag[k] - dst[k];
-  });
+  dslash(out, in);
 }
 
 template <typename T>
@@ -387,14 +401,16 @@ void WilsonCloverOp<T>::apply_block(BlockField& out,
   if (in.subset() != Subset::Full)
     throw std::invalid_argument("wilson apply_block needs full-subset blocks");
   for (int k = 0; k < in.nrhs(); ++k) this->count_apply();
+  if (in.nrhs() == 1) {
+    dslash(out, in);
+    return;
+  }
   const auto& geom = *gauge_.geometry();
   const T shift = T(4) + params_.mass;
-  if (compressed_)
-    block_dslash_kernel(out, in, *compressed_, clover_, geom, shift,
+  with_links([&](const auto& links) {
+    block_dslash_kernel(out, in, links, clover_, geom, shift,
                         params_.anisotropy);
-  else
-    block_dslash_kernel(out, in, gauge_, clover_, geom, shift,
-                        params_.anisotropy);
+  });
 }
 
 template <typename T>
@@ -405,21 +421,27 @@ void WilsonCloverOp<T>::apply_hopping_parity_block(BlockField& out,
   if (out.subset() != (out_parity ? Subset::Odd : Subset::Even) ||
       in.subset() != (out_parity ? Subset::Even : Subset::Odd))
     throw std::invalid_argument("hopping_parity_block: wrong subsets");
+  if (in.nrhs() == 1) {
+    hopping_parity(out, in, out_parity);
+    return;
+  }
   const auto& geom = *gauge_.geometry();
   auto site_of = [&](long i) { return geom.full_index(out_parity, i); };
   auto in_index_of = [&](long f) { return geom.cb_index(f); };
-  if (compressed_)
-    block_hopping_kernel(out, in, *compressed_, geom, geom.half_volume(),
-                         site_of, in_index_of, params_.anisotropy);
-  else
-    block_hopping_kernel(out, in, gauge_, geom, geom.half_volume(), site_of,
+  with_links([&](const auto& links) {
+    block_hopping_kernel(out, in, links, geom, geom.half_volume(), site_of,
                          in_index_of, params_.anisotropy);
+  });
 }
 
 template <typename T>
 void WilsonCloverOp<T>::apply_diag_block(BlockField& out, const BlockField& in,
                                          int parity) const {
   check_block_pair(out, in, gauge_.geometry());
+  if (in.nrhs() == 1) {
+    diag(out, in, parity);
+    return;
+  }
   const auto& geom = *gauge_.geometry();
   const T shift = T(4) + params_.mass;
   const LaunchPolicy policy = default_policy();
@@ -464,6 +486,10 @@ void WilsonCloverOp<T>::apply_diag_inverse_block(BlockField& out,
                                                  const BlockField& in,
                                                  int parity) const {
   check_block_pair(out, in, gauge_.geometry());
+  if (in.nrhs() == 1) {
+    diag_inverse(out, in, parity);
+    return;
+  }
   const auto& geom = *gauge_.geometry();
   const LaunchPolicy policy = default_policy();
   const int w = rhs_lane_width<T>(policy, in.nrhs());
@@ -547,15 +573,21 @@ double SchurWilsonOp<T>::flops_per_apply() const {
 }
 
 template <typename T>
+template <typename F>
+void SchurWilsonOp<T>::schur(F& out, const F& in) const {
+  // out = A_ee in - H_eo A_oo^{-1} H_oe in.
+  fine_.hopping_parity(tmp_odd_, in, /*out_parity=*/1);
+  fine_.diag_inverse(tmp_odd2_, tmp_odd_, /*parity=*/1);
+  fine_.hopping_parity(tmp_even_, tmp_odd2_, /*out_parity=*/0);
+  fine_.diag(out, in, /*parity=*/0);
+  for (long k = 0; k < out.size(); ++k) out.data()[k] -= tmp_even_.data()[k];
+}
+
+template <typename T>
 void SchurWilsonOp<T>::apply(Field& out, const Field& in) const {
   this->count_apply();
   fine_.count_apply();  // one Schur apply costs one fine-operator apply
-  // out = A_ee in - H_eo A_oo^{-1} H_oe in.
-  fine_.apply_hopping_parity(tmp_odd_, in, /*out_parity=*/1);
-  fine_.apply_diag_inverse(tmp_odd2_, tmp_odd_, /*parity=*/1);
-  fine_.apply_hopping_parity(tmp_even_, tmp_odd2_, /*out_parity=*/0);
-  fine_.apply_diag(out, in, /*parity=*/0);
-  for (long k = 0; k < out.size(); ++k) out.data()[k] -= tmp_even_.data()[k];
+  schur(out, in);
 }
 
 template <typename T>
@@ -564,6 +596,13 @@ void SchurWilsonOp<T>::apply_block(BlockField& out, const BlockField& in) const 
   for (int k = 0; k < nrhs; ++k) {
     this->count_apply();
     fine_.count_apply();
+  }
+  if (nrhs == 1) {
+    check_block_pair(out, in, fine_.geometry());
+    if (in.subset() != Subset::Even || out.subset() != Subset::Even)
+      throw std::invalid_argument("schur apply_block needs even blocks");
+    schur(out, in);
+    return;
   }
   // out = A_ee in - H_eo A_oo^{-1} H_oe in, all stages batched.
   BlockField odd(fine_.geometry(), 4, 3, nrhs, Subset::Odd);

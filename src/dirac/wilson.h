@@ -32,6 +32,9 @@ inline constexpr double kWilsonFlopsPerSite = 1320.0;
 inline constexpr double kCloverFlopsPerSite = 504.0;
 
 template <typename T>
+class SchurWilsonOp;
+
+template <typename T>
 class WilsonCloverOp : public LinearOperator<T> {
  public:
   using Field = typename LinearOperator<T>::Field;
@@ -53,7 +56,9 @@ class WilsonCloverOp : public LinearOperator<T> {
   /// Batched dslash: out_k = M in_k for every rhs, with each site's gauge
   /// links and clover blocks loaded once per site tile and streamed over
   /// the rhs axis of the 2D (site x rhs) dispatch index space.  Per-rhs
-  /// results are bit-identical to apply() on the extracted fields.
+  /// results are bit-identical to apply() on the extracted fields.  This
+  /// and the three block kernels below run a block of one (nrhs = 1)
+  /// through the single-rhs body, reading its storage in place.
   void apply_block(BlockField& out, const BlockField& in) const override;
 
   /// Parity-restricted batched hopping (block analog of
@@ -67,12 +72,9 @@ class WilsonCloverOp : public LinearOperator<T> {
   void apply_diag_inverse_block(BlockField& out, const BlockField& in,
                                 int parity = -1) const;
 
-  /// Hopping term only:  out = H in  with
+  /// Parity-restricted hopping term  out = H in  with
   /// H = 1/2 sum_mu [(1-gamma_mu) U delta_+ + (1+gamma_mu) U^dag delta_-],
-  /// so that M = diag - H.  Full-lattice version.
-  void apply_hopping(Field& out, const Field& in) const;
-
-  /// Parity-restricted hopping: out lives on `out_parity` sites, in on the
+  /// so that M = diag - H: out lives on `out_parity` sites, in on the
   /// opposite parity (both checkerboard-indexed fields).
   void apply_hopping_parity(Field& out, const Field& in,
                             int out_parity) const;
@@ -100,6 +102,28 @@ class WilsonCloverOp : public LinearOperator<T> {
   Reconstruct reconstruct() const { return reconstruct_; }
 
  private:
+  friend class SchurWilsonOp<T>;
+
+  // The single-rhs kernel bodies, over any site-contiguous storage: a
+  // field, or a block of one, which has exactly a field's layout.
+  template <typename F>
+  void dslash(F& out, const F& in) const;
+  template <typename Out, typename In>
+  void hopping_parity(Out& out, const In& in, int out_parity) const;
+  template <typename Out, typename In>
+  void diag(Out& out, const In& in, int parity) const;
+  template <typename Out, typename In>
+  void diag_inverse(Out& out, const In& in, int parity) const;
+  /// fn(links) with the links the kernels read: the compressed copy when
+  /// there is one, the gauge field otherwise.
+  template <typename Fn>
+  void with_links(Fn&& fn) const {
+    if (compressed_)
+      fn(*compressed_);
+    else
+      fn(gauge_);
+  }
+
   const GaugeField<T>& gauge_;
   WilsonParams<T> params_;
   const CloverField<T>* clover_;
@@ -127,7 +151,8 @@ class SchurWilsonOp : public LinearOperator<T> {
   double flops_per_apply() const override;
 
   /// Batched Schur apply built from the batched parity kernels; per-rhs
-  /// bit-identical to apply() on the extracted fields.
+  /// bit-identical to apply() on the extracted fields.  A block of one
+  /// runs apply()'s body on the single-rhs temporaries.
   void apply_block(BlockField& out, const BlockField& in) const override;
 
   /// Block analogs of prepare()/reconstruct() for multi-rhs outer solves.
@@ -146,6 +171,10 @@ class SchurWilsonOp : public LinearOperator<T> {
   const WilsonCloverOp<T>& fine_op() const { return fine_; }
 
  private:
+  /// apply()'s body over a field or a block of one.
+  template <typename F>
+  void schur(F& out, const F& in) const;
+
   const WilsonCloverOp<T>& fine_;
   mutable Field tmp_odd_, tmp_odd2_, tmp_even_;
   mutable std::optional<Field> dagger_tmp_;

@@ -232,6 +232,73 @@ complexd cdot_w(const LaunchPolicy& policy, int w, const Complex<T>* x,
   return partials[0];
 }
 
+/// Streaming-op driver: body(i) updates element i of raw storage, i in
+/// [0, n).  Under a width policy the elements run in W-aligned ranges whose
+/// loop inlines body (lanes_for_each); otherwise one parallel_for.
+template <typename Body>
+void stream(const LaunchPolicy& p, long n, Body&& body) {
+  const int w = effective_simd_width(p);
+  if (w > 1) {
+    simd::dispatch_width(w, [&](auto wc) {
+      constexpr int W = decltype(wc)::value;
+      lanes_for_each<W>(
+          n, p,
+          [&](long b, long e) {
+            for (long i = b; i < e; ++i) body(i);
+          },
+          body);
+    });
+    return;
+  }
+  parallel_for(n, p, body);
+}
+
+// The single-rhs ops on raw storage of n elements.  The field ops below
+// and the nrhs = 1 case of the block ops (a block of one has exactly a
+// field's layout) both run these bodies.
+
+template <typename T>
+void copy_n(const LaunchPolicy& p, long n, const Complex<T>* x,
+            Complex<T>* y) {
+  stream(p, n, [=](long i) { y[i] = x[i]; });
+}
+
+template <typename T, typename A>
+void axpy_n(const LaunchPolicy& p, long n, A a, const Complex<T>* x,
+            Complex<T>* y) {
+  stream(p, n, [=](long i) { y[i] += a * x[i]; });
+}
+
+template <typename T, typename A>
+void xpay_n(const LaunchPolicy& p, long n, const Complex<T>* x, A a,
+            Complex<T>* y) {
+  stream(p, n, [=](long i) { y[i] = x[i] + a * y[i]; });
+}
+
+template <typename T>
+void scale_n(const LaunchPolicy& p, long n, T a, Complex<T>* x) {
+  stream(p, n, [=](long i) { x[i] *= a; });
+}
+
+template <typename T>
+double norm2_n(const LaunchPolicy& p, long n, const Complex<T>* x) {
+  const int w = effective_simd_width(p);
+  if (w > 1) return norm2_w(p, w, x, n);
+  return parallel_reduce<double>(n, p,
+                                 [=](long i) { return qmg::norm2(x[i]); });
+}
+
+template <typename T>
+complexd cdot_n(const LaunchPolicy& p, long n, const Complex<T>* x,
+                const Complex<T>* y) {
+  const int w = effective_simd_width(p);
+  if (w > 1) return cdot_w(p, w, x, y, n);
+  return parallel_reduce<complexd>(n, p, [=](long i) {
+    const auto d = conj_mul(x[i], y[i]);
+    return complexd{d.re, d.im};
+  });
+}
+
 }  // namespace detail
 
 template <typename T>
@@ -243,77 +310,34 @@ void zero(ColorSpinorField<T>& x) {
 template <typename T>
 void copy(ColorSpinorField<T>& y, const ColorSpinorField<T>& x) {
   assert(y.size() == x.size());
-  detail::for_each(x.location(), x.size(),
-                   [&](long i) { y.data()[i] = x.data()[i]; });
+  detail::copy_n(detail::policy_for(x.location()), x.size(), x.data(),
+                 y.data());
 }
 
 /// y += a*x.
 template <typename T>
 void axpy(T a, const ColorSpinorField<T>& x, ColorSpinorField<T>& y) {
   assert(y.size() == x.size());
-  const LaunchPolicy p = detail::policy_for(x.location());
-  const int w = effective_simd_width(p);
-  const Complex<T>* xd = x.data();
-  Complex<T>* yd = y.data();
-  if (w > 1) {
-    simd::dispatch_width(w, [&](auto wc) {
-      constexpr int W = decltype(wc)::value;
-      detail::lanes_for_each<W>(
-          x.size(), p,
-          [&](long b, long e) {
-            for (long i = b; i < e; ++i) yd[i] += a * xd[i];
-          },
-          [&](long i) { yd[i] += a * xd[i]; });
-    });
-    return;
-  }
-  parallel_for(x.size(), p, [&](long i) { yd[i] += a * xd[i]; });
+  detail::axpy_n(detail::policy_for(x.location()), x.size(), a, x.data(),
+                 y.data());
 }
 
 /// y = x + a*y.
 template <typename T>
 void xpay(const ColorSpinorField<T>& x, T a, ColorSpinorField<T>& y) {
   assert(y.size() == x.size());
-  const LaunchPolicy p = detail::policy_for(x.location());
-  const int w = effective_simd_width(p);
-  const Complex<T>* xd = x.data();
-  Complex<T>* yd = y.data();
-  if (w > 1) {
-    simd::dispatch_width(w, [&](auto wc) {
-      constexpr int W = decltype(wc)::value;
-      detail::lanes_for_each<W>(
-          x.size(), p,
-          [&](long b, long e) {
-            for (long i = b; i < e; ++i) yd[i] = xd[i] + a * yd[i];
-          },
-          [&](long i) { yd[i] = xd[i] + a * yd[i]; });
-    });
-    return;
-  }
-  parallel_for(x.size(), p, [&](long i) { yd[i] = xd[i] + a * yd[i]; });
+  detail::xpay_n(detail::policy_for(x.location()), x.size(), x.data(), a,
+                 y.data());
 }
 
 /// y = a*x + b*y.
 template <typename T>
 void axpby(T a, const ColorSpinorField<T>& x, T b, ColorSpinorField<T>& y) {
   assert(y.size() == x.size());
-  const LaunchPolicy p = detail::policy_for(x.location());
-  const int w = effective_simd_width(p);
   const Complex<T>* xd = x.data();
   Complex<T>* yd = y.data();
-  if (w > 1) {
-    simd::dispatch_width(w, [&](auto wc) {
-      constexpr int W = decltype(wc)::value;
-      detail::lanes_for_each<W>(
-          x.size(), p,
-          [&](long b0, long e) {
-            for (long i = b0; i < e; ++i) yd[i] = a * xd[i] + b * yd[i];
-          },
-          [&](long i) { yd[i] = a * xd[i] + b * yd[i]; });
-    });
-    return;
-  }
-  parallel_for(x.size(), p, [&](long i) { yd[i] = a * xd[i] + b * yd[i]; });
+  detail::stream(detail::policy_for(x.location()), x.size(),
+                 [=](long i) { yd[i] = a * xd[i] + b * yd[i]; });
 }
 
 /// y += a*x (complex a).
@@ -321,23 +345,8 @@ template <typename T>
 void caxpy(Complex<T> a, const ColorSpinorField<T>& x,
            ColorSpinorField<T>& y) {
   assert(y.size() == x.size());
-  const LaunchPolicy p = detail::policy_for(x.location());
-  const int w = effective_simd_width(p);
-  const Complex<T>* xd = x.data();
-  Complex<T>* yd = y.data();
-  if (w > 1) {
-    simd::dispatch_width(w, [&](auto wc) {
-      constexpr int W = decltype(wc)::value;
-      detail::lanes_for_each<W>(
-          x.size(), p,
-          [&](long b, long e) {
-            for (long i = b; i < e; ++i) yd[i] += a * xd[i];
-          },
-          [&](long i) { yd[i] += a * xd[i]; });
-    });
-    return;
-  }
-  parallel_for(x.size(), p, [&](long i) { yd[i] += a * xd[i]; });
+  detail::axpy_n(detail::policy_for(x.location()), x.size(), a, x.data(),
+                 y.data());
 }
 
 /// y = x + a*y (complex a).
@@ -345,43 +354,13 @@ template <typename T>
 void cxpay(const ColorSpinorField<T>& x, Complex<T> a,
            ColorSpinorField<T>& y) {
   assert(y.size() == x.size());
-  const LaunchPolicy p = detail::policy_for(x.location());
-  const int w = effective_simd_width(p);
-  const Complex<T>* xd = x.data();
-  Complex<T>* yd = y.data();
-  if (w > 1) {
-    simd::dispatch_width(w, [&](auto wc) {
-      constexpr int W = decltype(wc)::value;
-      detail::lanes_for_each<W>(
-          x.size(), p,
-          [&](long b, long e) {
-            for (long i = b; i < e; ++i) yd[i] = xd[i] + a * yd[i];
-          },
-          [&](long i) { yd[i] = xd[i] + a * yd[i]; });
-    });
-    return;
-  }
-  parallel_for(x.size(), p, [&](long i) { yd[i] = xd[i] + a * yd[i]; });
+  detail::xpay_n(detail::policy_for(x.location()), x.size(), x.data(), a,
+                 y.data());
 }
 
 template <typename T>
 void scale(T a, ColorSpinorField<T>& x) {
-  const LaunchPolicy p = detail::policy_for(x.location());
-  const int w = effective_simd_width(p);
-  Complex<T>* xd = x.data();
-  if (w > 1) {
-    simd::dispatch_width(w, [&](auto wc) {
-      constexpr int W = decltype(wc)::value;
-      detail::lanes_for_each<W>(
-          x.size(), p,
-          [&](long b, long e) {
-            for (long i = b; i < e; ++i) xd[i] *= a;
-          },
-          [&](long i) { xd[i] *= a; });
-    });
-    return;
-  }
-  parallel_for(x.size(), p, [&](long i) { xd[i] *= a; });
+  detail::scale_n(detail::policy_for(x.location()), x.size(), a, x.data());
 }
 
 // Reductions.  These are the global-synchronization points whose log(N)
@@ -389,24 +368,16 @@ void scale(T a, ColorSpinorField<T>& x) {
 
 template <typename T>
 double norm2(const ColorSpinorField<T>& x) {
-  const LaunchPolicy p = detail::policy_for(x.location());
-  const int w = effective_simd_width(p);
-  if (w > 1) return detail::norm2_w(p, w, x.data(), x.size());
-  return parallel_reduce<double>(
-      x.size(), p, [&](long i) { return qmg::norm2(x.data()[i]); });
+  return detail::norm2_n(detail::policy_for(x.location()), x.size(),
+                         x.data());
 }
 
 /// <x, y> = sum_i conj(x_i) y_i.
 template <typename T>
 complexd cdot(const ColorSpinorField<T>& x, const ColorSpinorField<T>& y) {
   assert(y.size() == x.size());
-  const LaunchPolicy p = detail::policy_for(x.location());
-  const int w = effective_simd_width(p);
-  if (w > 1) return detail::cdot_w(p, w, x.data(), y.data(), x.size());
-  return parallel_reduce<complexd>(x.size(), p, [&](long i) {
-    const auto d = conj_mul(x.data()[i], y.data()[i]);
-    return complexd{d.re, d.im};
-  });
+  return detail::cdot_n(detail::policy_for(x.location()), x.size(), x.data(),
+                        y.data());
 }
 
 template <typename T>
@@ -427,7 +398,10 @@ double rdot(const ColorSpinorField<T>& x, const ColorSpinorField<T>& y) {
 // paths keep both properties: updates stream dense runs of active rhs
 // (mask hoisted out of the inner loop, per-rhs expression untouched),
 // reductions put W consecutive rhs in cpack lanes — lanes are independent
-// systems — and inactive rhs are never touched either way.
+// systems — and inactive rhs are never touched either way.  A block of one
+// (nrhs = 1) has exactly a field's layout, so every block op runs the
+// single-rhs body of the field op on its raw storage (rhs 0 only when the
+// mask leaves it active): no rhs loop, no mask test per element.
 
 /// Per-rhs activity mask; empty/short vectors treat missing entries active.
 using RhsMask = std::vector<std::uint8_t>;
@@ -640,6 +614,11 @@ void block_copy(BlockSpinor<T>& y, const BlockSpinor<T>& x,
   assert(y.size() == x.size() && y.nrhs() == x.nrhs());
   const int nrhs = x.nrhs();
   const LaunchPolicy p = detail::policy_for(Location::Host);
+  if (nrhs == 1) {
+    if (detail::rhs_active(active, 0))
+      detail::copy_n(p, x.rhs_size(), x.data(), y.data());
+    return;
+  }
   const int w = rhs_lane_width<T>(p, nrhs);
   if (w > 1) {
     // Hoist the raw pointers out of the element body (the single-rhs ops do
@@ -669,6 +648,11 @@ void block_axpy(const std::vector<T>& a, const BlockSpinor<T>& x,
   assert(y.size() == x.size() && static_cast<int>(a.size()) == x.nrhs());
   const int nrhs = x.nrhs();
   const LaunchPolicy p = detail::policy_for(Location::Host);
+  if (nrhs == 1) {
+    if (detail::rhs_active(active, 0))
+      detail::axpy_n(p, x.rhs_size(), a[0], x.data(), y.data());
+    return;
+  }
   const int w = rhs_lane_width<T>(p, nrhs);
   if (w > 1) {
     const Complex<T>* xd = x.data();
@@ -697,6 +681,11 @@ void block_caxpy(const std::vector<Complex<T>>& a, const BlockSpinor<T>& x,
   assert(y.size() == x.size() && static_cast<int>(a.size()) == x.nrhs());
   const int nrhs = x.nrhs();
   const LaunchPolicy p = detail::policy_for(Location::Host);
+  if (nrhs == 1) {
+    if (detail::rhs_active(active, 0))
+      detail::axpy_n(p, x.rhs_size(), a[0], x.data(), y.data());
+    return;
+  }
   const int w = rhs_lane_width<T>(p, nrhs);
   if (w > 1) {
     const Complex<T>* xd = x.data();
@@ -725,6 +714,11 @@ void block_xpay(const BlockSpinor<T>& x, const std::vector<T>& a,
   assert(y.size() == x.size() && static_cast<int>(a.size()) == x.nrhs());
   const int nrhs = x.nrhs();
   const LaunchPolicy p = detail::policy_for(Location::Host);
+  if (nrhs == 1) {
+    if (detail::rhs_active(active, 0))
+      detail::xpay_n(p, x.rhs_size(), x.data(), a[0], y.data());
+    return;
+  }
   const int w = rhs_lane_width<T>(p, nrhs);
   if (w > 1) {
     const Complex<T>* xd = x.data();
@@ -753,6 +747,11 @@ void block_scale(const std::vector<T>& a, BlockSpinor<T>& x,
   assert(static_cast<int>(a.size()) == x.nrhs());
   const int nrhs = x.nrhs();
   const LaunchPolicy p = detail::policy_for(Location::Host);
+  if (nrhs == 1) {
+    if (detail::rhs_active(active, 0))
+      detail::scale_n(p, x.rhs_size(), a[0], x.data());
+    return;
+  }
   const int w = rhs_lane_width<T>(p, nrhs);
   if (w > 1) {
     Complex<T>* xd = x.data();
@@ -779,6 +778,7 @@ void block_scale(const std::vector<T>& a, BlockSpinor<T>& x,
 template <typename T>
 std::vector<double> block_norm2(const BlockSpinor<T>& x,
                                 const LaunchPolicy& p) {
+  if (x.nrhs() == 1) return {detail::norm2_n(p, x.rhs_size(), x.data())};
   const int w = rhs_lane_width<T>(p, x.nrhs());
   if (w > 1) return detail::block_norm2_w(p, w, x);
   return detail::block_reduce<double>(
@@ -798,6 +798,8 @@ std::vector<complexd> block_cdot(const BlockSpinor<T>& x,
                                  const BlockSpinor<T>& y,
                                  const LaunchPolicy& p) {
   assert(y.size() == x.size() && y.nrhs() == x.nrhs());
+  if (x.nrhs() == 1)
+    return {detail::cdot_n(p, x.rhs_size(), x.data(), y.data())};
   const int w = rhs_lane_width<T>(p, x.nrhs());
   if (w > 1) return detail::block_cdot_w(p, w, x, y);
   return detail::block_reduce<complexd>(

@@ -33,11 +33,12 @@ double CoarseDirac<T>::flops_per_apply() const {
 }
 
 template <typename T>
-void CoarseDirac<T>::apply_with_config(
-    Field& out, const Field& in, const CoarseKernelConfig& config,
-    const LaunchPolicy& policy) const {
+template <typename F>
+void CoarseDirac<T>::apply_rows(F& out, const F& in,
+                                const CoarseKernelConfig& config,
+                                const LaunchPolicy& policy) const {
   const long v = geom_->volume();
-  auto fits = [&](const Field& f) {
+  auto fits = [&](const F& f) {
     return f.subset() == Subset::Full && f.site_dof() == n_ &&
            f.nsites() == v;
   };
@@ -73,10 +74,17 @@ void CoarseDirac<T>::apply_with_config(
 }
 
 template <typename T>
-void CoarseDirac<T>::apply(Field& out, const Field& in) const {
-  this->count_apply();
+void CoarseDirac<T>::apply_with_config(Field& out, const Field& in,
+                                       const CoarseKernelConfig& config,
+                                       const LaunchPolicy& policy) const {
+  apply_rows(out, in, config, policy);
+}
+
+template <typename T>
+template <typename F>
+void CoarseDirac<T>::apply_tuned(F& out, const F& in) const {
   if (!autotune_) {
-    apply_with_config(out, in, config_);
+    apply_rows(out, in, config_, default_policy());
     return;
   }
   // Autotune on first use for this (volume, N, precision) shape (section
@@ -90,10 +98,45 @@ void CoarseDirac<T>::apply(Field& out, const Field& in) const {
   const auto [best, policy] = cache.tune_joint(
       key, n_, [&](const CoarseKernelConfig& cand, const LaunchPolicy& lp) {
         Timer timer;
-        apply_with_config(out, in, cand, lp);
+        apply_rows(out, in, cand, lp);
         return timer.seconds();
       });
-  apply_with_config(out, in, best, policy);
+  apply_rows(out, in, best, policy);
+}
+
+template <typename T>
+void CoarseDirac<T>::apply(Field& out, const Field& in) const {
+  this->count_apply();
+  apply_tuned(out, in);
+}
+
+template <typename T>
+void CoarseDirac<T>::apply_block(BlockField& out, const BlockField& in) const {
+  for (int k = 0; k < in.nrhs(); ++k) this->count_apply();
+  if (in.nrhs() == 1 && out.nrhs() == 1) {
+    apply_tuned(out, in);
+    return;
+  }
+  if (!autotune_) {
+    apply_block_with_config(out, in, config_, default_policy());
+    return;
+  }
+  // Joint autotune over kernel decomposition x (backend, grain, rhs_block)
+  // for this (volume, N, nrhs, precision) shape — the rhs-blocking is a
+  // first-class tuning dimension of the batched kernel, and the precision
+  // tag keeps compressed-storage kernels from replaying configs tuned for
+  // a different bytes/flop balance.
+  auto& cache = TuneCache::instance();
+  const std::string key =
+      mrhs_tune_key(geom_->volume(), n_, in.nrhs(), precision_tag());
+  const auto [best, policy] = cache.tune_joint_2d(
+      key, n_, in.nrhs(),
+      [&](const CoarseKernelConfig& cand, const LaunchPolicy& lp) {
+        Timer timer;
+        apply_block_with_config(out, in, cand, lp);
+        return timer.seconds();
+      });
+  apply_block_with_config(out, in, best, policy);
 }
 
 template <typename T>

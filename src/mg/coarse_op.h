@@ -133,7 +133,9 @@ class CoarseDirac : public LinearOperator<T> {
   /// rhs axis.  Autotuned (kernel decomposition, backend and rhs-blocking
   /// jointly) per (volume, N, nrhs) shape unless a fixed config was set
   /// with set_kernel_config.  Per-rhs bit-identical to apply() at the same
-  /// kernel config.  Implemented in mg/mrhs.cpp.
+  /// kernel config.  A block of one (nrhs = 1) runs apply() itself on the
+  /// block's storage: the single-rhs row body under the single-rhs tune
+  /// key, so it replays apply()'s tuned config.
   void apply_block(BlockField& out, const BlockField& in) const override;
 
   /// Batched apply with explicit kernel config and launch policy (the
@@ -207,6 +209,13 @@ class CoarseDirac : public LinearOperator<T> {
   }
 
  private:
+  /// apply_with_config / apply bodies over a field or a block of one.
+  template <typename F>
+  void apply_rows(F& out, const F& in, const CoarseKernelConfig& config,
+                  const LaunchPolicy& policy) const;
+  template <typename F>
+  void apply_tuned(F& out, const F& in) const;
+
   GeometryPtr geom_;
   int nc_;
   int n_;

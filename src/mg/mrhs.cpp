@@ -6,9 +6,7 @@
 #include "gpusim/kernels.h"
 #include "mg/coarse_row.h"
 #include "mg/coarse_stencil.h"
-#include "parallel/autotune.h"
 #include "parallel/dispatch.h"
-#include "util/timer.h"
 
 namespace qmg {
 
@@ -80,31 +78,6 @@ void CoarseDirac<T>::apply_block_staged(BlockField& out, const BlockField& in,
   // kernel streams float vectors (TX = float) while accumulating in T.
   // For T = float this degenerates to a copy of the plain batched apply.
   apply_block_kernel(*this, out, convert_block<float>(in), config, policy);
-}
-
-template <typename T>
-void CoarseDirac<T>::apply_block(BlockField& out, const BlockField& in) const {
-  for (int k = 0; k < in.nrhs(); ++k) this->count_apply();
-  if (!autotune_) {
-    apply_block_with_config(out, in, config_, default_policy());
-    return;
-  }
-  // Joint autotune over kernel decomposition x (backend, grain, rhs_block)
-  // for this (volume, N, nrhs, precision) shape — the rhs-blocking is a
-  // first-class tuning dimension of the batched kernel, and the precision
-  // tag keeps compressed-storage kernels from replaying configs tuned for
-  // a different bytes/flop balance.
-  auto& cache = TuneCache::instance();
-  const std::string key =
-      mrhs_tune_key(geom_->volume(), n_, in.nrhs(), precision_tag());
-  const auto [best, policy] = cache.tune_joint_2d(
-      key, n_, in.nrhs(),
-      [&](const CoarseKernelConfig& cand, const LaunchPolicy& lp) {
-        Timer timer;
-        apply_block_with_config(out, in, cand, lp);
-        return timer.seconds();
-      });
-  apply_block_with_config(out, in, best, policy);
 }
 
 // --- MultiRhsCoarseOp -------------------------------------------------------
@@ -193,10 +166,5 @@ template void CoarseDirac<double>::apply_block_staged(
 template void CoarseDirac<float>::apply_block_staged(
     BlockSpinor<float>&, const BlockSpinor<float>&, const CoarseKernelConfig&,
     const LaunchPolicy&) const;
-template void CoarseDirac<double>::apply_block(BlockSpinor<double>&,
-                                               const BlockSpinor<double>&)
-    const;
-template void CoarseDirac<float>::apply_block(BlockSpinor<float>&,
-                                              const BlockSpinor<float>&) const;
 
 }  // namespace qmg

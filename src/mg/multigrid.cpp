@@ -192,24 +192,28 @@ double Multigrid<T>::probe_quality() const {
   // modes the interpolator must capture, which is precisely what a warm
   // refresh on a drifted configuration loses.  (A single-cycle probe reads
   // ~the smoother's rate and barely moves while solve iteration counts
-  // climb.)
+  // climb.)  The rhs is a block of one.
   constexpr int kProbeCycles = 3;
-  Field b = fine_op_.create_vector();
-  b.gaussian(config_.seed ^ 0x9E3779B97F4A7C15ull);
-  double prev2 = blas::norm2(b);
+  BlockField b = fine_op_.create_block(1);
+  {
+    Field seeded = fine_op_.create_vector();
+    seeded.gaussian(config_.seed ^ 0x9E3779B97F4A7C15ull);
+    b.insert_rhs(seeded, 0);
+  }
+  double prev2 = blas::block_norm2(b)[0];
   if (prev2 == 0) return 0;
-  Field x = b.similar();
-  Field e = b.similar();
-  Field r = b.similar();
-  blas::copy(r, b);
+  BlockField x = b.similar();
+  BlockField e = b.similar();
+  BlockField r = b.similar();
+  blas::block_copy(r, b);
+  const std::vector<T> one{T(1)}, minus_one{T(-1)};
   double rate = 0;
   for (int k = 0; k < kProbeCycles; ++k) {
-    blas::zero(e);
-    cycle(0, e, r);
-    blas::axpy(T(1), e, x);
-    fine_op_.apply(r, x);
-    blas::xpay(b, T(-1), r);
-    const double r2 = blas::norm2(r);
+    cycle_block(0, e, r);
+    blas::block_axpy(one, e, x);
+    fine_op_.apply_block(r, x);
+    blas::block_xpay(b, minus_one, r);
+    const double r2 = blas::block_norm2(r)[0];
     rate = std::sqrt(r2 / prev2);
     prev2 = r2;
     if (r2 == 0) break;
@@ -299,105 +303,6 @@ void Multigrid<T>::install_level_storage(int level,
 }
 
 template <typename T>
-void Multigrid<T>::smooth(int level, Field& x, const Field& b,
-                          int iters) const {
-  if (iters <= 0) return;
-  const MgLevelConfig& lvl = config_.levels[level];
-  SolverParams params;
-  params.tol = 0;  // fixed iteration count (smoother mode)
-  params.max_iter = iters;
-  params.omega = lvl.smoother_omega;
-
-  // Even-odd smoothing: MR on the Schur system from the current even-site
-  // iterate, then exact reconstruction of the odd sites.  This is both a
-  // stronger smoother per matvec (better-conditioned system) and the paper's
-  // stated choice on every level.
-  auto eo_smooth = [&](const auto& schur) {
-    auto b_hat = schur.create_vector();
-    schur.prepare(b_hat, b);
-    auto x_e = schur.create_vector();
-    extract_parity(x_e, x, /*parity=*/0);
-    MrSolver<T>(schur, params).solve(x_e, b_hat);
-    schur.reconstruct(x, x_e, b);
-  };
-  if (lvl.eo_smooth && level == 0 && schur_fine_) {
-    eo_smooth(*schur_fine_);
-  } else if (lvl.eo_smooth && level > 0 &&
-             static_cast<size_t>(level) <= schur_coarse_.size()) {
-    eo_smooth(*schur_coarse_[level - 1]);
-  } else {
-    MrSolver<T>(*ops_[level], params).solve(x, b);
-  }
-}
-
-template <typename T>
-void Multigrid<T>::cycle(int level, Field& x, const Field& b) const {
-  const ScopedTimer level_timer(profiler_, "level" + std::to_string(level));
-  const LinearOperator<T>& op = *ops_[level];
-  blas::zero(x);
-
-  // Coarsest grid: direct GCR solve to loose tolerance, on the Schur system
-  // when configured (red-black on all levels, section 7.1).
-  if (level == num_levels() - 1) {
-    SolverParams params;
-    params.tol = config_.coarsest_tol;
-    params.max_iter = config_.coarsest_maxiter;
-    params.restart = config_.coarsest_krylov;
-    if (config_.coarsest_eo && level > 0 &&
-        static_cast<size_t>(level) <= schur_coarse_.size()) {
-      const auto& schur = *schur_coarse_[level - 1];
-      auto b_hat = schur.create_vector();
-      schur.prepare(b_hat, b);
-      auto x_e = schur.create_vector();
-      GcrSolver<T>(schur, params).solve(x_e, b_hat);
-      schur.reconstruct(x, x_e, b);
-    } else {
-      GcrSolver<T>(op, params).solve(x, b);
-    }
-    return;
-  }
-
-  const MgLevelConfig& lvl = config_.levels[level];
-
-  // Pre-smoothing.
-  smooth(level, x, b, lvl.pre_smooth);
-
-  // Coarse-grid correction on the residual.
-  auto r = op.create_vector();
-  if (lvl.pre_smooth > 0) {
-    op.apply(r, x);
-    blas::xpay(b, T(-1), r);
-  } else {
-    blas::copy(r, b);
-  }
-  auto r_c = transfers_[level]->create_coarse_vector();
-  transfers_[level]->restrict_to_coarse(r_c, r);
-  auto e_c = r_c.similar();
-
-  if (config_.cycle == CycleType::KCycle) {
-    // K-cycle: GCR(k) on the coarse system, preconditioned by the next
-    // level's cycle (the "recursively preconditioned GCR" of section 7.1).
-    SolverParams params;
-    params.tol = lvl.cycle_tol;
-    params.max_iter = lvl.cycle_maxiter;
-    params.restart = lvl.cycle_krylov;
-    LevelPreconditioner precond(*this, level + 1);
-    GcrSolver<T>(*ops_[level + 1], params, &precond).solve(e_c, r_c);
-  } else {
-    // V-cycle: single recursive application.
-    cycle(level + 1, e_c, r_c);
-  }
-
-  // Prolongate and add the correction.
-  auto correction = op.create_vector();
-  transfers_[level]->prolongate(correction, e_c);
-  blas::axpy(T(1), correction, x);
-
-  // Post-smoothing.
-  smooth(level, x, b, lvl.post_smooth);
-}
-
-template <typename T>
 void Multigrid<T>::smooth_block(int level, BlockField& x, const BlockField& b,
                                 int iters) const {
   if (iters <= 0) return;
@@ -409,13 +314,13 @@ void Multigrid<T>::smooth_block(int level, BlockField& x, const BlockField& b,
 
   // Masked block MR (solvers/block_mr.h): the whole batch smooths through
   // one batched solver — per-rhs iterate state lives in the block fields,
-  // per-rhs masking freezes converged/broken-down systems — instead of
-  // streaming rhs through the single-rhs MrSolver.  Per rhs the iterates
-  // are bit-identical to that streamed path.  The even-odd form mirrors
-  // smooth(): block MR on the Schur system from the current even-site
-  // iterate, then exact batched reconstruction of the odd sites; the
-  // Schur operator applications route through the distributed adapter
-  // when this level's coarse operator is distributed.
+  // per-rhs masking freezes converged/broken-down systems.  Even-odd
+  // smoothing (the paper's choice on every level) runs block MR on the
+  // Schur system from the current even-site iterate, then reconstructs the
+  // odd sites exactly: a stronger smoother per matvec, since the Schur
+  // system is better conditioned.  The Schur operator applications route
+  // through the distributed adapter when this level's coarse operator is
+  // distributed.
   auto eo_smooth = [&](const auto& schur, const LinearOperator<T>& op) {
     BlockField b_hat = schur.create_block(b.nrhs());
     schur.prepare_block(b_hat, b);
@@ -493,7 +398,7 @@ void Multigrid<T>::cycle_block(int level, BlockField& x,
     params.tol = lvl.cycle_tol;
     params.max_iter = lvl.cycle_maxiter;
     params.restart = lvl.cycle_krylov;
-    BlockLevelPreconditioner precond(*this, level + 1);
+    NextLevelCycle precond(*this, level + 1);
     BlockGcrSolver<T>(block_op(level + 1), params, &precond).solve(e_c, r_c);
   } else {
     // Block V-cycle: single recursive batched application.

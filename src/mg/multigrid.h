@@ -14,13 +14,13 @@
 
 #include "comm/dist_coarse.h"
 #include "dirac/wilson.h"
+#include "fields/blas.h"
 #include "mg/coarse_op.h"
 #include "mg/galerkin.h"
 #include "mg/nullspace.h"
 #include "mg/setup_timings.h"
 #include "mg/transfer.h"
-#include "solvers/gcr.h"
-#include "solvers/mr.h"
+#include "solvers/solver.h"
 #include "util/timer.h"
 
 namespace qmg {
@@ -40,9 +40,11 @@ enum class CycleType { KCycle, VCycle };
 ///                     on the reduction comm worker.
 /// All three respect the per-rhs masking contract and report true-residual
 /// convergence, so the cycle they feed is identical in meaning; CA-GMRES
-/// additionally falls back to BlockGcr on basis breakdown.  The single-rhs
-/// cycle() keeps plain GCR — the strategies exist for the batched
-/// distributed path where the sync cost is amortizable over nrhs.
+/// additionally falls back to BlockGcr on basis breakdown.  Every cycle is
+/// a batched one, so single-rhs solves (blocks of one) and the quality
+/// probe honour the choice too; with coarsest_ca_s = 0 the probe's s-step
+/// depth is the TuneCache pick for nrhs 1.  The strategies pay where the
+/// sync cost is amortizable over nrhs, on the distributed path.
 enum class CoarsestSolver { BlockGcr, CaGmres, PipelinedGcr };
 
 /// Parameters for one coarsening step (fine side of the transfer).
@@ -137,7 +139,7 @@ struct MgUpdateReport {
 
 /// The multigrid hierarchy over a Wilson-Clover fine operator, in a single
 /// working precision T (the paper runs this part in single precision inside
-/// a double-precision outer GCR; see MixedPrecisionMgPreconditioner).
+/// a double-precision outer GCR; see MixedPrecisionBlockMgPreconditioner).
 template <typename T>
 class Multigrid {
  public:
@@ -154,7 +156,7 @@ class Multigrid {
     return *coarse_ops_[level];
   }
   /// Mutable access, e.g. to pin a kernel config (set_kernel_config) so
-  /// batched and single-rhs cycles share one decomposition.
+  /// cycles of every rhs count share one decomposition.
   CoarseDirac<T>& coarse_op_mutable(int level) { return *coarse_ops_[level]; }
   const MgConfig& config() const { return config_; }
   double setup_seconds() const { return setup_timings_.total_seconds(); }
@@ -176,11 +178,12 @@ class Multigrid {
   /// coarse splits are dropped (re-enable after the update).
   MgUpdateReport update_gauge(const GaugeField<T>& gauge);
 
-  /// The cheap hierarchy-quality probe: residual contraction |r|/|b| of one
-  /// cycle(0) on a fixed rhs seeded from config().seed.  Lower is better; a
-  /// hierarchy whose coarse space no longer captures the near-null modes
-  /// contracts less per cycle, which is exactly the K-cycle iteration-count
-  /// regression the refresh policy watches for.
+  /// The cheap hierarchy-quality probe: residual contraction |r|/|b| of
+  /// cycle_block(0) on a fixed rhs (a block of one) seeded from
+  /// config().seed.  Lower is better; a hierarchy whose coarse space no
+  /// longer captures the near-null modes contracts less per cycle, which is
+  /// exactly the K-cycle iteration-count regression the refresh policy
+  /// watches for.
   double probe_quality() const;
   /// Probe contraction recorded at the last FULL setup (0 when the probe is
   /// disabled via refresh_threshold <= 0).
@@ -201,18 +204,16 @@ class Multigrid {
                              HalfCoarseLinks stencil,
                              std::vector<Complex<float>> diag_inv);
 
-  /// One multigrid cycle at `level`: x is overwritten with an approximate
-  /// solution of op(level) x = b.
-  void cycle(int level, Field& x, const Field& b) const;
-
-  /// Batched multigrid cycle (paper section 9): all rhs of the block
-  /// advance through one K-cycle level at a time, so every stage —
-  /// residual computation, transfer, masked block-MR smoothing
-  /// (solvers/block_mr.h), coarse K-cycle GCR and the coarsest-grid solve
-  /// — is one batched kernel; no stage streams rhs.  Per-rhs results are
-  /// bit-identical to cycle() on the extracted fields when the coarse
-  /// kernel configs are pinned (set_kernel_config).  When
-  /// enable_distributed_coarse is active, every coarse-level operator
+  /// One multigrid cycle at `level` (paper section 9's batched form): x is
+  /// overwritten with an approximate solution of op(level) x = b for every
+  /// rhs of the block.  All rhs advance through one K-cycle level at a
+  /// time, so every stage — residual computation, transfer, masked
+  /// block-MR smoothing (solvers/block_mr.h), coarse K-cycle GCR and the
+  /// coarsest-grid solve — is one batched kernel; no stage streams rhs.  A
+  /// single rhs is a block of one, whose kernels run the single-rhs bodies.
+  /// Per-rhs results are bit-identical to cycling each rhs as a block of
+  /// one when the coarse kernel configs are pinned (set_kernel_config).
+  /// When enable_distributed_coarse is active, every coarse-level operator
   /// application additionally routes through the distributed adapters
   /// (batched halos, optional overlap) with unchanged per-rhs bits.
   void cycle_block(int level, BlockField& x, const BlockField& b) const;
@@ -346,14 +347,11 @@ class Multigrid {
   /// timed {2, 4, 8} sweep on the first coarsest solve of this shape.
   int coarsest_ca_depth(const LinearOperator<T>& op, const BlockField& b) const;
 
-  /// MR smoothing at `level`, on the Schur system when configured.
-  void smooth(int level, Field& x, const Field& b, int iters) const;
-
-  /// Masked block-MR smoothing of a whole block (solvers/block_mr.h): all
-  /// rhs advance through one batched smoother — on the level's Schur
-  /// system when configured, through the distributed Schur adapter when
-  /// the level is distributed — with per-rhs masking keeping every rhs
-  /// bit-identical to the old streamed single-rhs path.
+  /// MR smoothing of a whole block at `level` (solvers/block_mr.h): all rhs
+  /// advance through one masked block-MR — on the level's Schur system
+  /// when configured, through the distributed Schur adapter when the level
+  /// is distributed — with per-rhs masking keeping every rhs bit-identical
+  /// to smoothing it alone.
   void smooth_block(int level, BlockField& x, const BlockField& b,
                     int iters) const;
 
@@ -365,25 +363,10 @@ class Multigrid {
   /// setup_timings_ is rewritten with the per-phase breakdown.
   void rebuild(bool reuse);
 
-  // Per-level recursive preconditioner used by the K-cycle's coarse GCR.
-  class LevelPreconditioner : public Preconditioner<T> {
+  // The K-cycle's coarse GCR is preconditioned by the next level's cycle.
+  class NextLevelCycle : public BlockPreconditioner<T> {
    public:
-    LevelPreconditioner(const Multigrid& mg, int level)
-        : mg_(mg), level_(level) {}
-    void operator()(Field& out, const Field& in) override {
-      mg_.cycle(level_, out, in);
-    }
-
-   private:
-    const Multigrid& mg_;
-    int level_;
-  };
-
-  // Batched analog: the block K-cycle's coarse GCR is preconditioned by
-  // the next level's batched cycle.
-  class BlockLevelPreconditioner : public BlockPreconditioner<T> {
-   public:
-    BlockLevelPreconditioner(const Multigrid& mg, int level)
+    NextLevelCycle(const Multigrid& mg, int level)
         : mg_(mg), level_(level) {}
     void operator()(BlockField& out, const BlockField& in) override {
       mg_.cycle_block(level_, out, in);
@@ -393,20 +376,6 @@ class Multigrid {
     const Multigrid& mg_;
     int level_;
   };
-};
-
-/// The multigrid cycle packaged as a Preconditioner for the outer GCR.
-template <typename T>
-class MgPreconditioner : public Preconditioner<T> {
- public:
-  using Field = typename Preconditioner<T>::Field;
-  explicit MgPreconditioner(const Multigrid<T>& mg) : mg_(mg) {}
-  void operator()(Field& out, const Field& in) override {
-    mg_.cycle(0, out, in);
-  }
-
- private:
-  const Multigrid<T>& mg_;
 };
 
 /// The batched multigrid cycle packaged as a BlockPreconditioner for a
@@ -425,9 +394,11 @@ class MgBlockPreconditioner : public BlockPreconditioner<T> {
 };
 
 /// Precision-bridging block preconditioner: the outer double-precision
-/// block GCR sees a single-precision batched multigrid cycle.  The float
-/// staging blocks are reused across applications (one per outer iteration
-/// of a block solve) and rebuilt only when the rhs count changes.
+/// block GCR sees a single-precision batched multigrid cycle (the paper's
+/// precision layout: double outermost GCR, single everywhere inside,
+/// section 7.1).  The float staging blocks are reused across applications
+/// (one per outer iteration of a block solve) and rebuilt only when the rhs
+/// count changes.
 class MixedPrecisionBlockMgPreconditioner : public BlockPreconditioner<double> {
  public:
   explicit MixedPrecisionBlockMgPreconditioner(const Multigrid<float>& mg)
@@ -450,17 +421,21 @@ class MixedPrecisionBlockMgPreconditioner : public BlockPreconditioner<double> {
   BlockSpinor<float> in_f_, out_f_;
 };
 
-/// Block analog of SchurMixedMgPreconditioner: preconditions the fine-grid
-/// Schur-complement block system with the batched multigrid cycle on the
-/// full system, via the same even-embedding identity per rhs.
+/// Even-odd bridging preconditioner: preconditions the fine-grid *Schur
+/// complement* block system with the multigrid cycle on the *full* system.
+/// Block elimination of M x = (r_e, 0) gives S x_e = r_e exactly, so
+/// embedding each even-parity residual into a full-lattice vector (zero on
+/// odd sites), running one MG cycle, and extracting the even component
+/// preconditions S.  This is how red-black preconditioning on the outer
+/// Krylov solver composes with multigrid (paper section 7.1).
 class SchurMixedBlockMgPreconditioner : public BlockPreconditioner<double> {
  public:
   explicit SchurMixedBlockMgPreconditioner(const Multigrid<float>& mg)
-      : mg_(mg), proto_(mg.op(0).create_vector()) {}
+      : mg_(mg) {}
   void operator()(BlockSpinor<double>& out_e,
                   const BlockSpinor<double>& in_e) override {
-    BlockSpinor<float> full(proto_.geometry(), proto_.nspin(),
-                            proto_.ncolor(), in_e.nrhs());
+    BlockSpinor<float> full(in_e.geometry(), in_e.nspin(), in_e.ncolor(),
+                            in_e.nrhs());
     const auto in_f = convert_block<float>(in_e);
     insert_parity_block(full, in_f, /*parity=*/0);
     auto x_full = full.similar();
@@ -468,53 +443,6 @@ class SchurMixedBlockMgPreconditioner : public BlockPreconditioner<double> {
     auto x_e = in_f.similar();
     extract_parity_block(x_e, x_full, /*parity=*/0);
     convert_block_into(out_e, x_e);
-  }
-
- private:
-  const Multigrid<float>& mg_;
-  ColorSpinorField<float> proto_;  // fine-grid shape (geometry, dofs)
-};
-
-/// Precision-bridging preconditioner: the outer double-precision GCR sees a
-/// single-precision multigrid cycle (the paper's precision layout: double
-/// outermost GCR, single everywhere inside, section 7.1).
-class MixedPrecisionMgPreconditioner : public Preconditioner<double> {
- public:
-  explicit MixedPrecisionMgPreconditioner(const Multigrid<float>& mg)
-      : mg_(mg) {}
-  void operator()(ColorSpinorField<double>& out,
-                  const ColorSpinorField<double>& in) override {
-    auto in_f = convert<float>(in);
-    auto out_f = in_f.similar();
-    mg_.cycle(0, out_f, in_f);
-    convert_into(out, out_f);
-  }
-
- private:
-  const Multigrid<float>& mg_;
-};
-
-/// Even-odd bridging preconditioner: preconditions the fine-grid *Schur
-/// complement* system with the multigrid cycle on the *full* system.  Block
-/// elimination of M x = (r_e, 0) gives S x_e = r_e exactly, so embedding the
-/// even-parity residual into a full-lattice vector (zero on odd sites),
-/// running one MG cycle, and extracting the even component preconditions S.
-/// This is how red-black preconditioning on the outer Krylov solver composes
-/// with multigrid (paper section 7.1).
-class SchurMixedMgPreconditioner : public Preconditioner<double> {
- public:
-  explicit SchurMixedMgPreconditioner(const Multigrid<float>& mg) : mg_(mg) {}
-  void operator()(ColorSpinorField<double>& out_e,
-                  const ColorSpinorField<double>& in_e) override {
-    auto full = mg_.op(0).create_vector();  // full lattice, float
-    blas::zero(full);
-    const auto in_f = convert<float>(in_e);
-    insert_parity(full, in_f, /*parity=*/0);
-    auto x_full = full.similar();
-    mg_.cycle(0, x_full, full);
-    auto x_e = in_f.similar();
-    extract_parity(x_e, x_full, /*parity=*/0);
-    convert_into(out_e, x_e);
   }
 
  private:

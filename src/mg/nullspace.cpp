@@ -7,37 +7,15 @@
 #include "fields/blockspinor.h"
 #include "solvers/block_gcr.h"
 #include "solvers/block_mr.h"
-#include "solvers/gcr.h"
-#include "solvers/mr.h"
 
 namespace qmg {
 
 namespace {
 
-/// The shared MR relaxation core on M x = 0: r = -M x; each step damps the
-/// high modes of x, leaving the near-null component (cannot reuse MrSolver
-/// since b = 0 is its trivial-solution early-out).  `r` and `mr` are caller
-/// scratch so a sweep over many vectors allocates them once.
-template <typename T>
-void mr_relax_homogeneous(const LinearOperator<T>& op, ColorSpinorField<T>& x,
-                          ColorSpinorField<T>& r, ColorSpinorField<T>& mr,
-                          int iters, T omega) {
-  for (int it = 0; it < iters; ++it) {
-    op.apply(r, x);
-    blas::scale(T(-1), r);
-    op.apply(mr, r);
-    const double mr2 = blas::norm2(mr);
-    if (mr2 == 0.0) break;
-    const complexd a = blas::cdot(mr, r);
-    const Complex<T> alpha(static_cast<T>(a.re / mr2),
-                           static_cast<T>(a.im / mr2));
-    blas::caxpy(alpha * omega, r, x);
-  }
-}
-
-/// Batched form of mr_relax_homogeneous: every rhs of `x` runs exactly its
-/// arithmetic in lockstep.  A rhs whose <Mr,Mr> reaches 0 is masked out of
-/// all further updates at the iteration where the per-vector loop breaks.
+/// MR relaxation on M x = 0 for every rhs of `x` in lockstep: r = -M x;
+/// each step damps the high modes of x, leaving the near-null component
+/// (MrSolver cannot do this: b = 0 is its trivial-solution early-out).  A
+/// rhs whose <Mr,Mr> reaches 0 is masked out of all further updates.
 template <typename T>
 void mr_relax_homogeneous(const LinearOperator<T>& op, BlockSpinor<T>& x,
                           int iters, T omega) {
@@ -71,12 +49,6 @@ void mr_relax_homogeneous(const LinearOperator<T>& op, BlockSpinor<T>& x,
 }
 
 template <typename T>
-void normalize(ColorSpinorField<T>& x) {
-  const double n2 = blas::norm2(x);
-  if (n2 > 0) blas::scale(static_cast<T>(1.0 / std::sqrt(n2)), x);
-}
-
-template <typename T>
 void normalize(BlockSpinor<T>& x) {
   const std::vector<double> n2 = blas::block_norm2(x);
   std::vector<T> inv(n2.size(), T(1));
@@ -89,20 +61,20 @@ void normalize(BlockSpinor<T>& x) {
   blas::block_scale(inv, x, &nonzero);
 }
 
-/// Run `fn` on `vecs` in blocks of `group` consecutive candidates, the last
-/// block taking the remainder.  Each field is released as soon as it is
-/// packed and re-created from its block after the last group, so a
-/// candidate lives in its field or in a block, never both, and the
-/// temporaries `fn` allocates are one group's.  Re-creating a group's fields
-/// right after its `fn` instead interleaves long-lived fields with the next
-/// group's temporaries; on qmg-bench's stream workload that heap
+/// Run `fn` on `vecs` in blocks of `group` (at least 1) consecutive
+/// candidates, the last block taking the remainder.  Each field is released
+/// as soon as it is packed and re-created from its block after the last
+/// group, so a candidate lives in its field or in a block, never both, and
+/// the temporaries `fn` allocates are one group's.  Re-creating a group's
+/// fields right after its `fn` instead interleaves long-lived fields with
+/// the next group's temporaries; on qmg-bench's stream workload that heap
 /// fragmentation raised peak RSS by 3-4% over the single-rhs setup, against
 /// about 2% for this order.
 template <typename T, typename Fn>
 void for_each_group(std::vector<ColorSpinorField<T>>& vecs, int group,
                     Fn&& fn) {
   const size_t n = vecs.size();
-  const size_t g = static_cast<size_t>(group);
+  const size_t g = static_cast<size_t>(std::max(group, 1));
   std::vector<BlockSpinor<T>> blocks;
   blocks.reserve((n + g - 1) / g);
   for (size_t b = 0; b < n; b += g) {
@@ -128,20 +100,10 @@ template <typename T>
 void relax_and_normalize(const LinearOperator<T>& op,
                          std::vector<ColorSpinorField<T>>& vecs, int iters,
                          T omega, int group) {
-  if (vecs.empty()) return;
-  if (group > 1) {
-    for_each_group(vecs, group, [&](BlockSpinor<T>& x) {
-      mr_relax_homogeneous(op, x, iters, omega);
-      normalize(x);
-    });
-    return;
-  }
-  auto r = op.create_vector();
-  auto mr = op.create_vector();
-  for (auto& x : vecs) {
-    mr_relax_homogeneous(op, x, r, mr, iters, omega);
+  for_each_group(vecs, group, [&](BlockSpinor<T>& x) {
+    mr_relax_homogeneous(op, x, iters, omega);
     normalize(x);
-  }
+  });
 }
 
 /// Loose inner solve of the refinement's two-grid cycle.
@@ -153,40 +115,13 @@ SolverParams refine_coarse_params() {
   return p;
 }
 
+/// `iters` sweeps v <- normalize((1 - B M) v) of the two-grid cycle B over
+/// a block of candidates; the blocks are allocated once and reused across
+/// sweeps.
 template <typename T>
-void refine_each(const LinearOperator<T>& op, const Transfer<T>& transfer,
-                 const SchurCoarseOp<T>& schur,
-                 std::vector<ColorSpinorField<T>>& vecs, int iters,
-                 const SolverParams& smooth) {
-  auto r = op.create_vector();
-  auto x = op.create_vector();
-  auto r_c = transfer.create_coarse_vector();
-  auto e_c = r_c.similar();
-  auto b_hat = schur.create_vector();
-  auto e_e = schur.create_vector();
-  for (auto& v : vecs) {
-    for (int it = 0; it < iters; ++it) {
-      op.apply(r, v);
-      blas::scale(T(-1), r);
-      transfer.restrict_to_coarse(r_c, r);
-      schur.prepare(b_hat, r_c);
-      blas::zero(e_e);
-      GcrSolver<T>(schur, refine_coarse_params()).solve(e_e, b_hat);
-      schur.reconstruct(e_c, e_e, r_c);
-      transfer.prolongate(x, e_c);
-      MrSolver<T>(op, smooth).solve(x, r);
-      blas::axpy(T(1), x, v);
-      normalize(v);
-    }
-  }
-}
-
-/// refine_each as one block two-grid sweep over a block of candidates; the
-/// blocks are allocated once and reused across sweeps.
-template <typename T>
-void refine_batched(const LinearOperator<T>& op, const Transfer<T>& transfer,
-                    const SchurCoarseOp<T>& schur, BlockSpinor<T>& v,
-                    int iters, const SolverParams& smooth) {
+void refine_block(const LinearOperator<T>& op, const Transfer<T>& transfer,
+                  const SchurCoarseOp<T>& schur, BlockSpinor<T>& v, int iters,
+                  const SolverParams& smooth) {
   const int n = v.nrhs();
   BlockSpinor<T> r = v.similar();
   BlockSpinor<T> x = v.similar();
@@ -247,12 +182,9 @@ void refine_null_vectors(const LinearOperator<T>& op,
   smooth.tol = 0;  // fixed iteration count (smoother mode)
   smooth.max_iter = smooth_iters;
   smooth.omega = omega;
-  if (group > 1)
-    for_each_group(vecs, group, [&](BlockSpinor<T>& v) {
-      refine_batched(op, transfer, schur, v, iters, smooth);
-    });
-  else
-    refine_each(op, transfer, schur, vecs, iters, smooth);
+  for_each_group(vecs, group, [&](BlockSpinor<T>& v) {
+    refine_block(op, transfer, schur, v, iters, smooth);
+  });
 }
 
 template std::vector<ColorSpinorField<double>> generate_null_vectors<double>(

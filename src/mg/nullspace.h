@@ -9,14 +9,15 @@
 // candidates (the last block takes the remainder): each block advances as
 // one BlockSpinor through apply_block, the block BLAS and the masked block
 // solvers, which gives setup an rhs axis of work (the multi-rhs strategy of
-// paper section 9).  A group of one is a single-rhs stream per candidate
-// through apply().  A block's candidates live either in their fields or in
-// the block, never both, so the working set beyond the candidates is one
-// group's blocks.  The batched kernels and solvers are bit-identical per
-// rhs to their single-rhs forms at a fixed kernel config, so each candidate
-// comes out bit-identical under every group size whenever the operators run
-// pinned configs (set_kernel_config).  Multigrid::rebuild picks the group
-// per level (mg/multigrid.cpp).
+// paper section 9).  A group of one streams the candidates one at a time,
+// each as a block of one, whose kernels run the single-rhs bodies.  A
+// block's candidates live either in their fields or in the block, never
+// both, so the working set beyond the candidates is one group's blocks.
+// The batched kernels and solvers are bit-identical per rhs to a block of
+// one at a fixed kernel config, so each candidate comes out bit-identical
+// under every group size whenever the operators run pinned configs
+// (set_kernel_config).  Multigrid::rebuild picks the group per level
+// (mg/multigrid.cpp).
 
 #include <cstdint>
 #include <vector>
@@ -37,9 +38,8 @@ struct NullSpaceParams {
 
 /// Generate `params.nvec` near-null vectors of `op` by MR relaxation on the
 /// homogeneous system.  Vectors are normalized but not block-orthonormalized
-/// (the Transfer does that).  With `group` > 1 each block of candidates
-/// relaxes as one masked block-MR: a candidate whose <Mr,Mr> reaches 0 is
-/// frozen at the iteration where the per-vector loop stops.
+/// (the Transfer does that).  Each block of candidates relaxes as one
+/// masked block-MR: a candidate whose <Mr,Mr> reaches 0 is frozen there.
 template <typename T>
 std::vector<ColorSpinorField<T>> generate_null_vectors(
     const LinearOperator<T>& op, const NullSpaceParams& params,
@@ -63,9 +63,9 @@ void relax_null_vectors(const LinearOperator<T>& op,
 /// `coarse`, prolongate, then `smooth_iters` MR post-smoothing sweeps with
 /// relaxation factor `omega` on `op`.  Components the coarse space already
 /// captures are annihilated, leaving v rich in the error modes the method
-/// cannot yet treat.  With `group` > 1 each sweep is one block two-grid
-/// cycle per block of candidates (block GCR and block MR, per-rhs masked,
-/// so a zero candidate stays zero).
+/// cannot yet treat.  Each sweep is one block two-grid cycle per block of
+/// candidates (block GCR and block MR, per-rhs masked, so a zero candidate
+/// stays zero).
 template <typename T>
 void refine_null_vectors(const LinearOperator<T>& op,
                          const Transfer<T>& transfer,

@@ -12,7 +12,7 @@
 // max-wait, whichever first — dispatching each batch through
 // QmgContext::solve.  The block solvers' per-rhs convergence masking
 // retires every rhs at its own iteration count and keeps each rhs
-// bit-identical to a direct solve_mg_block, HOWEVER the queue happened to
+// bit-identical to a direct block solve, HOWEVER the queue happened to
 // compose the batch (tested).
 //
 // Completion is future-based: submit() returns a SolveTicket whose

@@ -62,17 +62,17 @@ class BlockGcrSolver {
     ++res.block_reductions;
     std::vector<double> target(static_cast<size_t>(nrhs), 0.0);
     // Mask of rhs still iterating.  b_k = 0 converges immediately with
-    // x_k = 0 (matching the single-rhs early return).
+    // x_k = 0 (matching the single-rhs early return, which follows the
+    // residual apply counted here).
     blas::RhsMask active(static_cast<size_t>(nrhs), 1);
     for (int k = 0; k < nrhs; ++k) {
       target[static_cast<size_t>(k)] =
           params_.tol * params_.tol * b2[static_cast<size_t>(k)];
+      res.rhs[static_cast<size_t>(k)].matvecs = 1;
       if (b2[static_cast<size_t>(k)] == 0.0) {
         active[static_cast<size_t>(k)] = 0;
         res.rhs[static_cast<size_t>(k)].converged = true;
         for (long i = 0; i < x.rhs_size(); ++i) x.at(i, k) = Complex<T>{};
-      } else {
-        res.rhs[static_cast<size_t>(k)].matvecs = 1;
       }
     }
 
@@ -91,6 +91,11 @@ class BlockGcrSolver {
         if (iterating(k)) return true;
       return false;
     };
+    // The rhs whose single-rhs solve enters its restart loop, and so ends
+    // with a true-residual apply: the final apply below stands in for it.
+    blas::RhsMask closes(static_cast<size_t>(nrhs), 0);
+    for (int k = 0; k < nrhs; ++k)
+      closes[static_cast<size_t>(k)] = iterating(k) ? 1 : 0;
 
     std::vector<BlockField> z;  // preconditioned directions, one per rhs
     std::vector<BlockField> w;  // M z, orthonormalized per rhs
@@ -213,6 +218,7 @@ class BlockGcrSolver {
     ++res.block_reductions;
     for (int k = 0; k < nrhs; ++k) {
       auto& rk = res.rhs[static_cast<size_t>(k)];
+      if (closes[static_cast<size_t>(k)]) ++rk.matvecs;
       if (b2[static_cast<size_t>(k)] == 0.0) continue;  // handled above
       rk.final_rel_residual =
           std::sqrt(r2_final[static_cast<size_t>(k)] / b2[static_cast<size_t>(k)]);

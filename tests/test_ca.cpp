@@ -599,7 +599,10 @@ TEST(CaEndToEnd, ContextCaCoarsestSolveConverges) {
     b.back().point_source(k, k % 4, k % 3);
     x.push_back(ctx.create_vector());
   }
-  const auto res = ctx.solve_mg_block(x, b, 1e-6, 1000, /*eo=*/false);
+  SolveSpec spec;
+  spec.tol = 1e-6;
+  spec.eo = false;
+  const auto res = ctx.solve(x, b, spec);
   ASSERT_TRUE(res.all_converged());
   EXPECT_GT(ctx.multigrid().coarsest_comm_stats().allreduces, 0);
 }

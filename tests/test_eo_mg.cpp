@@ -30,6 +30,18 @@ ContextOptions small_options(double mass = 0.05) {
   return options;
 }
 
+/// A single-rhs solve request to `tol` within `max_iter` iterations.
+SolveSpec spec_of(SolveMethod method, double tol, int max_iter,
+                  bool eo = true) {
+  SolveSpec spec;
+  spec.method = method;
+  spec.tol = tol;
+  spec.max_iter = max_iter;
+  spec.eo = eo;
+  spec.bicg_inner = InnerPrecision::Single;
+  return spec;
+}
+
 MgConfig small_mg_config(int adaptive_passes = 1) {
   MgConfig config;
   MgLevelConfig lvl;
@@ -89,12 +101,14 @@ TEST(EoSolvers, BicgstabEoMatchesFullSystem) {
   b.gaussian(21);
 
   auto x_eo = ctx.create_vector();
-  const auto r_eo = ctx.solve_bicgstab(x_eo, b, 1e-10, 20000,
-                                       InnerPrecision::Single, /*eo=*/true);
+  const auto r_eo =
+      ctx.solve(x_eo, b, spec_of(SolveMethod::BiCgStab, 1e-10, 20000))
+          .result();
   auto x_full = ctx.create_vector();
-  const auto r_full = ctx.solve_bicgstab(x_full, b, 1e-10, 20000,
-                                         InnerPrecision::Single,
-                                         /*eo=*/false);
+  const auto r_full =
+      ctx.solve(x_full, b,
+                spec_of(SolveMethod::BiCgStab, 1e-10, 20000, /*eo=*/false))
+          .result();
   ASSERT_TRUE(r_eo.converged);
   ASSERT_TRUE(r_full.converged);
 
@@ -109,11 +123,12 @@ TEST(EoSolvers, EoReducesBicgstabIterations) {
   b.gaussian(22);
 
   auto x = ctx.create_vector();
-  const auto r_eo = ctx.solve_bicgstab(x, b, 1e-8, 20000,
-                                       InnerPrecision::Single, /*eo=*/true);
-  const auto r_full = ctx.solve_bicgstab(x, b, 1e-8, 20000,
-                                         InnerPrecision::Single,
-                                         /*eo=*/false);
+  const auto r_eo =
+      ctx.solve(x, b, spec_of(SolveMethod::BiCgStab, 1e-8, 20000)).result();
+  const auto r_full =
+      ctx.solve(x, b, spec_of(SolveMethod::BiCgStab, 1e-8, 20000,
+                              /*eo=*/false))
+          .result();
   ASSERT_TRUE(r_eo.converged);
   ASSERT_TRUE(r_full.converged);
   // Red-black roughly halves the iteration count (section 3.3); allow slack.
@@ -127,9 +142,12 @@ TEST(EoSolvers, MgEoMatchesFullSystem) {
   b.gaussian(23);
 
   auto x_eo = ctx.create_vector();
-  const auto r_eo = ctx.solve_mg(x_eo, b, 1e-9, 300, /*eo=*/true);
+  const auto r_eo =
+      ctx.solve(x_eo, b, spec_of(SolveMethod::Mg, 1e-9, 300)).result();
   auto x_full = ctx.create_vector();
-  const auto r_full = ctx.solve_mg(x_full, b, 1e-9, 300, /*eo=*/false);
+  const auto r_full =
+      ctx.solve(x_full, b, spec_of(SolveMethod::Mg, 1e-9, 300, /*eo=*/false))
+          .result();
   ASSERT_TRUE(r_eo.converged);
   ASSERT_TRUE(r_full.converged);
 
@@ -158,7 +176,8 @@ TEST_P(EoCycleVariants, ConvergesWithAnyEoCombination) {
   auto b = ctx.create_vector();
   b.gaussian(29);
   auto x = ctx.create_vector();
-  const auto res = ctx.solve_mg(x, b, 1e-8, 300);
+  const auto res =
+      ctx.solve(x, b, spec_of(SolveMethod::Mg, 1e-8, 300)).result();
   ASSERT_TRUE(res.converged);
 
   auto r = ctx.create_vector();
@@ -191,11 +210,13 @@ TEST(AdaptiveSetup, RefinementImprovesNearCriticalConvergence) {
   config.levels[0].adaptive_passes = 0;
   ctx.setup_multigrid(config);
   auto x = ctx.create_vector();
-  const auto r0 = ctx.solve_mg(x, b, 1e-8, 300);
+  const auto r0 =
+      ctx.solve(x, b, spec_of(SolveMethod::Mg, 1e-8, 300)).result();
 
   config.levels[0].adaptive_passes = 1;
   ctx.setup_multigrid(config);
-  const auto r1 = ctx.solve_mg(x, b, 1e-8, 300);
+  const auto r1 =
+      ctx.solve(x, b, spec_of(SolveMethod::Mg, 1e-8, 300)).result();
 
   ASSERT_TRUE(r1.converged);
   EXPECT_LE(r1.iterations, r0.iterations);
@@ -209,7 +230,8 @@ TEST(AdaptiveSetup, RefinedVectorsStayNormalized) {
   auto b = ctx.create_vector();
   b.gaussian(37);
   auto x = ctx.create_vector();
-  const auto res = ctx.solve_mg(x, b, 1e-7, 200);
+  const auto res =
+      ctx.solve(x, b, spec_of(SolveMethod::Mg, 1e-7, 200)).result();
   EXPECT_TRUE(res.converged);
 }
 

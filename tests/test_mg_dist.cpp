@@ -602,7 +602,9 @@ TEST(MgDistEndToEnd, DistributedBlockSolveMatchesReplicatedBlockSolve) {
   ctx.multigrid().coarse_op_mutable(0).set_kernel_config(
       {Strategy::ColorSpin, 1, 1, 2});
 
-  const double tol = 1e-6;
+  SolveSpec spec;
+  spec.tol = 1e-6;
+  spec.eo = false;
   std::vector<ColorSpinorField<double>> b, x_ref, x_dist;
   for (int k = 0; k < 3; ++k) {
     b.push_back(ctx.create_vector());
@@ -610,12 +612,13 @@ TEST(MgDistEndToEnd, DistributedBlockSolveMatchesReplicatedBlockSolve) {
     x_ref.push_back(ctx.create_vector());
     x_dist.push_back(ctx.create_vector());
   }
-  const auto ref = ctx.solve_mg_block(x_ref, b, tol, 1000, /*eo=*/false);
+  const auto ref = ctx.solve(x_ref, b, spec);
 
-  CommStats comm, coarse_comm;
-  const auto res = ctx.solve_mg_block_distributed(
-      x_dist, b, tol, /*nranks=*/2, &comm, 1000, HaloMode::Overlapped,
-      &coarse_comm);
+  spec.nranks = 2;
+  spec.halo = HaloMode::Overlapped;
+  const auto res = ctx.solve(x_dist, b, spec);
+  const CommStats& comm = res.comm;
+  const CommStats& coarse_comm = res.coarse_comm;
 
   ASSERT_TRUE(res.all_converged());
   for (size_t k = 0; k < b.size(); ++k) {

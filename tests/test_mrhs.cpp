@@ -390,6 +390,69 @@ TEST_F(MrhsEquivalenceTest, BlockBlasMatchesSingleFieldBitwise) {
   EXPECT_TRUE(bits_equal(block_y.extract_rhs(0), expected0));
 }
 
+// A block of one runs the single-rhs BLAS bodies on its storage; a mask
+// that leaves its rhs inactive must still keep every update off it.
+TEST_F(MrhsEquivalenceTest, MaskedBlockOfOneUpdatesLeaveYUntouched) {
+  auto xf = op_->create_vector();
+  xf.gaussian(7);
+  auto yf = op_->create_vector();
+  yf.gaussian(17);
+  const auto x = pack_block(std::vector{xf});
+  const auto y0 = pack_block(std::vector{yf});
+  const blas::RhsMask inactive{0};
+  const std::vector<double> a{0.75};
+  const std::vector<Complex<double>> ca{Complex<double>(0.5, -1.25)};
+  const auto untouched = [&](const BlockSpinor<double>& y) {
+    return bits_equal(y.extract_rhs(0), y0.extract_rhs(0));
+  };
+  for (const int t : {0, 1, 4}) {
+    if (t == 0)
+      use_serial();
+    else
+      use_threaded(t);
+    auto y = y0;
+    blas::block_copy(y, x, &inactive);
+    EXPECT_TRUE(untouched(y)) << "copy threads=" << t;
+    blas::block_axpy(a, x, y, &inactive);
+    EXPECT_TRUE(untouched(y)) << "axpy threads=" << t;
+    blas::block_caxpy(ca, x, y, &inactive);
+    EXPECT_TRUE(untouched(y)) << "caxpy threads=" << t;
+    blas::block_xpay(x, a, y, &inactive);
+    EXPECT_TRUE(untouched(y)) << "xpay threads=" << t;
+    blas::block_scale(a, y, &inactive);
+    EXPECT_TRUE(untouched(y)) << "scale threads=" << t;
+    // Active, the same updates match the field ops bit for bit.
+    auto yk = yf;
+    blas::block_caxpy(ca, x, y);
+    blas::caxpy(ca[0], xf, yk);
+    blas::block_xpay(x, a, y);
+    blas::xpay(xf, a[0], yk);
+    EXPECT_TRUE(bits_equal(y.extract_rhs(0), yk)) << "threads=" << t;
+    EXPECT_EQ(blas::block_norm2(y)[0], blas::norm2(yk));
+    EXPECT_EQ(blas::block_cdot(x, y)[0].re, blas::cdot(xf, yk).re);
+  }
+}
+
+// A block of one replays apply()'s tuned config under the single-rhs tune
+// key: no new TuneCache entry, the same bits.
+TEST_F(MrhsEquivalenceTest, CoarseBlockOfOneReplaysSingleRhsTuning) {
+  use_serial();
+  coarse_->enable_autotune();
+  auto in = coarse_->create_vector();
+  in.gaussian(23);
+  auto out = coarse_->create_vector();
+  coarse_->apply(out, in);
+  const auto& cache = TuneCache::instance();
+  const size_t configs = cache.size();
+  const size_t launches = cache.launch_size();
+  const auto in_block = pack_block(std::vector{in});
+  auto out_block = in_block.similar();
+  coarse_->apply_block(out_block, in_block);
+  EXPECT_EQ(cache.size(), configs);
+  EXPECT_EQ(cache.launch_size(), launches);
+  EXPECT_TRUE(bits_equal(out_block.extract_rhs(0), out));
+}
+
 TEST_F(MrhsEquivalenceTest, MrhsValidationThrowsInsteadOfAsserting) {
   const MultiRhsCoarseOp<double> mrhs(*coarse_);
   std::vector<ColorSpinorField<double>> in, out;
@@ -442,6 +505,10 @@ TEST_F(MrhsEquivalenceTest, BlockGcrMatchesIndependentGcrWithMasking) {
           << "threads=" << t << " rhs=" << k;
       EXPECT_EQ(res.rhs[k].iterations, ref_res[k].iterations)
           << "threads=" << t << " rhs=" << k;
+      EXPECT_EQ(res.rhs[k].matvecs, ref_res[k].matvecs)
+          << "threads=" << t << " rhs=" << k;
+      EXPECT_EQ(res.rhs[k].reductions, ref_res[k].reductions)
+          << "threads=" << t << " rhs=" << k;
       EXPECT_EQ(res.rhs[k].converged, ref_res[k].converged);
     }
     // The zero rhs was masked from the start; the others really iterated.
@@ -462,15 +529,18 @@ TEST_F(MrhsEquivalenceTest, BatchedCycleBitIdentical) {
   mg_config.levels = {level};
   use_serial();
   Multigrid<double> mg(*op_, mg_config);
-  // Pin the coarse kernel config so the single-rhs and batched cycles run
-  // the same decomposition (the bit-identity contract is per-config).
+  // Pin the coarse kernel config so the nrhs-1 and batched cycles run the
+  // same decomposition (the bit-identity contract is per-config).
   mg.coarse_op_mutable(0).set_kernel_config({Strategy::ColorSpin, 1, 1, 2});
 
+  // Reference: each rhs cycled alone, as a block of one.
   const auto b = random_rhs_set(op_->create_vector(), 101);
   std::vector<ColorSpinorField<double>> ref_x;
   for (int k = 0; k < kNRhs; ++k) {
-    ref_x.push_back(op_->create_vector());
-    mg.cycle(0, ref_x.back(), b[static_cast<size_t>(k)]);
+    const auto b_k = pack_block(std::vector{b[static_cast<size_t>(k)]});
+    auto x_k = b_k.similar();
+    mg.cycle_block(0, x_k, b_k);
+    ref_x.push_back(x_k.extract_rhs(0));
   }
 
   const auto b_block = pack_block(b);
@@ -791,23 +861,25 @@ TEST(BlockSolveEndToEnd, SolveMgBlockMatchesScalarSolves) {
   level.adaptive_passes = 0;
   mg.levels = {level};
   ctx.setup_multigrid(mg);
-  // Pin the coarse kernel config: solve_mg tunes under the single-rhs key
-  // and solve_mg_block under the mrhs key, so autotuning could hand the
-  // two paths different (individually valid) decompositions.
+  // Pin the coarse kernel config: a single-rhs solve (a block of one)
+  // tunes under the single-rhs key and the 3-rhs solve under the mrhs key,
+  // so autotuning could hand the two different (individually valid)
+  // decompositions.
   ctx.multigrid().coarse_op_mutable(0).set_kernel_config(
       {Strategy::ColorSpin, 1, 1, 2});
 
-  const double tol = 1e-7;
+  SolveSpec spec;
+  spec.tol = 1e-7;
   std::vector<ColorSpinorField<double>> b, x_ref, x_blk;
   std::vector<SolverResult> ref;
   for (int k = 0; k < 3; ++k) {
     b.push_back(ctx.create_vector());
     b.back().point_source(k, k % 4, k % 3);
     x_ref.push_back(ctx.create_vector());
-    ref.push_back(ctx.solve_mg(x_ref.back(), b.back(), tol));
+    ref.push_back(ctx.solve(x_ref.back(), b.back(), spec).result());
     x_blk.push_back(ctx.create_vector());
   }
-  const auto res = ctx.solve_mg_block(x_blk, b, tol);
+  const auto res = ctx.solve(x_blk, b, spec);
 
   ASSERT_EQ(res.rhs.size(), b.size());
   EXPECT_TRUE(res.all_converged());

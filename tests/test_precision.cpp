@@ -28,6 +28,7 @@
 #include "mg/nullspace.h"
 #include "mg/stencil.h"
 #include "parallel/autotune.h"
+#include "solvers/block_gcr.h"
 #include "solvers/gcr.h"
 #include "util/rng.h"
 
@@ -546,15 +547,18 @@ TEST(PrecisionMultigrid, IterationCountsWithinMargin) {
     cfg.coarse_storage = storage;
     const Multigrid<double> mg(op, cfg);
     EXPECT_EQ(mg.coarse_op(0).storage(), storage);
-    MgPreconditioner<double> precond(mg);
+    MgBlockPreconditioner<double> precond(mg);
     SolverParams params;
     params.tol = 1e-8;
     params.max_iter = 200;
     params.restart = 10;
     auto b = op.create_vector();
     b.gaussian(71);
-    auto x = op.create_vector();
-    return GcrSolver<double>(op, params, &precond).solve(x, b);
+    const auto b_block = pack_block(std::vector{b});
+    auto x = b_block.similar();
+    return BlockGcrSolver<double>(op, params, &precond)
+        .solve(x, b_block)
+        .rhs.front();
   };
 
   const auto native = solve_with(CoarseStorage::Native);

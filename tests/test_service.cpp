@@ -1,7 +1,7 @@
 // Service-layer tests: SolveQueue dynamic rhs batching over the unified
 // SolveSpec/SolveReport context API (src/service/solve_queue.h).
 //
-//   * queued solves are bit-identical per rhs to a direct solve_mg_block —
+//   * queued solves are bit-identical per rhs to a direct block solve —
 //     for a full batch AND when the queue splits the same requests across
 //     smaller batches (the per-rhs masking contract of the block solvers);
 //   * a partial batch flushes when the latency budget (queue max-wait or
@@ -41,6 +41,13 @@ template <typename T>
 }
 
 constexpr double kTol = 1e-6;
+
+/// The direct block solve queued solves are compared against.
+SolveSpec direct_spec() {
+  SolveSpec spec;
+  spec.tol = kTol;
+  return spec;
+}
 
 /// One warm context for the whole binary (hierarchy set up once; the
 /// service layer's whole point is to share it across every batch).
@@ -86,7 +93,7 @@ TEST(SolveQueueTest, FullBatchMatchesDirectBlockSolveBitwise) {
   const auto b = make_sources(4, 100);
   std::vector<ColorSpinorField<double>> x_ref;
   for (int k = 0; k < 4; ++k) x_ref.push_back(ctx.create_vector());
-  const auto ref = ctx.solve_mg_block(x_ref, b, kTol);
+  const auto ref = ctx.solve(x_ref, b, direct_spec());
   ASSERT_TRUE(ref.all_converged());
 
   QueueOptions qopts;
@@ -131,7 +138,7 @@ TEST(SolveQueueTest, SplitBatchesStayBitIdenticalPerRhs) {
   const auto b = make_sources(4, 100);  // same sources as the test above
   std::vector<ColorSpinorField<double>> x_ref;
   for (int k = 0; k < 4; ++k) x_ref.push_back(ctx.create_vector());
-  const auto ref = ctx.solve_mg_block(x_ref, b, kTol);
+  const auto ref = ctx.solve(x_ref, b, direct_spec());
 
   QueueOptions qopts;
   qopts.max_nrhs = 2;
@@ -222,7 +229,7 @@ TEST(SolveQueueTest, TenantsShareOneWarmHierarchy) {
   const auto b = make_sources(2, 500);
   std::vector<ColorSpinorField<double>> x_ref;
   for (int k = 0; k < 2; ++k) x_ref.push_back(ctx.create_vector());
-  const auto ref = ctx.solve_mg_block(x_ref, b, kTol);
+  const auto ref = ctx.solve(x_ref, b, direct_spec());
 
   QueueOptions qopts;
   qopts.max_nrhs = 1;  // every request its own batch: 4 dispatches
